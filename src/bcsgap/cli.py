@@ -290,7 +290,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
-            cfg.quad_tol = args.tol
+            cfg.quad_tol = cfg.resolved["tolerances.quad_tol"] = args.tol
+            cfg.defaults_applied.pop("tolerances.quad_tol", None)
         return args.fn(args, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -72,6 +72,11 @@ def _floats(text: str) -> np.ndarray:
     return np.array([float(s) for s in text.split(",") if s.strip() != ""])
 
 
+def _auto_float(text: str) -> float | None:
+    """A tolerance value; 'auto' selects the solver's default (None)."""
+    return None if text == "auto" else float(text)
+
+
 def load_config(path: str | None) -> RunConfig:
     """Load and validate a configuration file; None gives pure defaults."""
     if path is None:
@@ -104,9 +109,9 @@ def load_config(path: str | None) -> RunConfig:
     elif ptype == "separable":
         if "potential.f_values" not in items:
             raise ConfigError("separable potential needs potential.f_values")
-        fv = _floats(items["potential.f_values"])
+        fv = _get(items, defaults, "potential.f_values", None, _floats)
         if "potential.f_nodes" in items:
-            fn = _floats(items["potential.f_nodes"])
+            fn = _get(items, defaults, "potential.f_nodes", None, _floats)
         else:
             fn = np.linspace(eps, om, fv.size)
             defaults["potential.f_nodes"] = "uniform on [epsilon, hbar_omega_d]"
@@ -114,8 +119,8 @@ def load_config(path: str | None) -> RunConfig:
     elif ptype == "tabulated":
         if "potential.nodes" not in items or "potential.values" not in items:
             raise ConfigError("tabulated potential needs potential.nodes and potential.values")
-        nodes = _floats(items["potential.nodes"])
-        vals = _floats(items["potential.values"])
+        nodes = _get(items, defaults, "potential.nodes", None, _floats)
+        vals = _get(items, defaults, "potential.values", None, _floats)
         n = nodes.size
         if vals.size != n * n:
             raise ConfigError("potential.values must hold n*n entries (row major)")
@@ -139,8 +144,9 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError("grids.t_points must be at least 8")
 
     quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, float)
-    solver_tol = float(items["tolerances.solver_tol"]) if "tolerances.solver_tol" in items else None
-    t_tol = float(items["tolerances.t_tol"]) if "tolerances.t_tol" in items else None
+    # absent and 'auto' both resolve to the solver default, echoed as 'auto'
+    solver_tol = _get(items, {}, "tolerances.solver_tol", None, _auto_float)
+    t_tol = _get(items, {}, "tolerances.t_tol", None, _auto_float)
 
     resolved = {
         "hbar_omega_d": om, "epsilon": eps, "mu": mu, "n0": n0,

@@ -1,4 +1,4 @@
-"""Discretized gap operator, Picard fixed-point solver, sweeps and T_c.
+"""Discretized gap operator, Newton/Picard fixed-point solver, sweeps and T_c.
 
 The unknown u(T, .) lives on an EnergyGrid; between nodes it is extended by
 monotone piecewise-cubic interpolation, and the operator integral is taken
@@ -8,10 +8,16 @@ factors).  The kernel-times-weights matrix is precomputed once per
 (kernel, grid), so one operator application is a slope rebuild, a Horner
 evaluation and a matrix-vector product.
 
-Convergence accounting: with measured residual ratio q, the distance to the
-fixed point is about residual * q / (1 - q); iteration stops only when that
-estimate is inside the tolerance, so slowly contracting solves near the
-transition cannot terminate on a deceptively small residual.
+The production iteration is Newton's method from the upper envelope
+Delta_2(T), a supersolution (Au <= u).  The map is concave in u, so Newton
+iterates from a supersolution stay above the fixed point and the step count
+does not grow as T approaches T_c, where plain Picard contracts at roughly
+1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it runs
+from subsolution seeds and whenever residual histories are recorded.  With
+measured residual ratio q its distance to the fixed point is about
+residual * q / (1 - q); it stops only when that estimate is inside the
+tolerance, so a slow contraction cannot terminate on a deceptively small
+residual.
 
 T_c detection bisects the zero/nonzero predicate.  Away from the transition
 the predicate is decided by the solver itself; at the bisection's fine scale
@@ -23,7 +29,6 @@ is confirmed by two actual solves at resolvable offsets.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +127,6 @@ class SolverOpts:
     seed: np.ndarray | None = None
     record_residuals: bool = False
     confirm_tc: bool = True
-    workers: int = 1
 
     def resolved_tol(self, delta2_zero: float) -> float:
         return self.tol if self.tol is not None else 1e-10 * delta2_zero
@@ -197,12 +201,21 @@ class Discretization:
         return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _phi_gap(disc: Discretization, values: np.ndarray, t: float) -> np.ndarray:
+def _gap_terms(disc: Discretization, values: np.ndarray, t: float):
+    """phi(u) = u/E tanh(E/2T) at the quadrature nodes and its u- and T-partials.
+
+    Returns (phi, dphi/du, dphi/dT) for E = sqrt(xi^2 + u^2), u the
+    interpolated slice; at T = 0 the tanh factor is 1 and dphi/dT is 0.
+    """
     u = disc.interp(values)
-    e = np.hypot(disc.qn, u)
+    e2 = disc.qn ** 2 + u ** 2
+    e = np.sqrt(e2)
     if t == 0.0:
-        return u / e
-    return u / e * np.tanh(e / (2.0 * t))
+        return u / e, disc.qn ** 2 / (e2 * e), np.zeros_like(u)
+    th = np.tanh(e / (2.0 * t))
+    s2 = sech2(e / (2.0 * t))
+    return (u / e * th, disc.qn ** 2 / (e2 * e) * th + u ** 2 / (2.0 * t * e2) * s2,
+            -u / (2.0 * t * t) * s2)
 
 
 def apply_A(u: GapSlice, kernel: PotentialSpec, params: PhysicalParams,
@@ -210,29 +223,21 @@ def apply_A(u: GapSlice, kernel: PotentialSpec, params: PhysicalParams,
     """One application of the gap operator to a slice."""
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    out = disc.kernel_apply(_phi_gap(disc, u.values, u.T))
+    out = disc.kernel_apply(_gap_terms(disc, u.values, u.T)[0])
     return GapSlice(u.T, u.x, out, u.iterations, u.final_residual)
 
 
 def apply_dA_dT(u: GapSlice, du: np.ndarray, kernel: PotentialSpec,
                 params: PhysicalParams, disc: Discretization | None = None) -> np.ndarray:
     """Analytic temperature derivative of the operator at (u, du); T > 0."""
-    t = u.T
-    if t <= 0.0:
+    if u.T <= 0.0:
         raise ValueError("temperature derivative of the operator needs T > 0; "
                          "the T = 0 limit is identically zero")
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    uu = disc.interp(u.values)
-    dd = disc.interp(np.asarray(du, dtype=float))
-    e2 = disc.qn ** 2 + uu ** 2
-    e = np.sqrt(e2)
-    th = np.tanh(e / (2.0 * t))
-    s2 = sech2(e / (2.0 * t))
-    i1 = dd * disc.qn ** 2 / (e2 * e) * th
-    i2 = dd * uu ** 2 / (2.0 * t * e2) * s2
-    i3 = -uu / (2.0 * t * t) * s2
-    return disc.kernel_apply(i1 + i2 + i3)
+    _, dphi_du, dphi_dT = _gap_terms(disc, u.values, u.T)
+    return disc.kernel_apply(dphi_du * disc.interp(np.asarray(du, dtype=float))
+                             + dphi_dT)
 
 
 def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
@@ -244,21 +249,14 @@ def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
     derivative-coupling part of the operator and c the explicit temperature
     term; the dense linear system is solved directly on the grid.
     """
-    t = u.T
-    if t <= 0.0:
+    if u.T <= 0.0:
         return np.zeros_like(u.values)
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    uu = disc.interp(u.values)
-    e2 = disc.qn ** 2 + uu ** 2
-    e = np.sqrt(e2)
-    th = np.tanh(e / (2.0 * t))
-    s2 = sech2(e / (2.0 * t))
-    coef = disc.qn ** 2 / (e2 * e) * th + uu ** 2 / (2.0 * t * e2) * s2
-    c = disc.kernel_apply(-uu / (2.0 * t * t) * s2)
-    L = disc.linearized_matrix(coef)
+    _, dphi_du, dphi_dT = _gap_terms(disc, u.values, u.T)
     n = disc.grid.count
-    return np.linalg.solve(np.eye(n) - L, c)
+    return np.linalg.solve(np.eye(n) - disc.linearized_matrix(dphi_du),
+                           disc.kernel_apply(dphi_dT))
 
 
 def _delta2_zero(params: PhysicalParams) -> float:
@@ -271,14 +269,17 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
                disc: Discretization | None = None) -> GapSlice:
     """Fixed point of the gap operator at one temperature.
 
-    Seeded at the upper envelope Delta_2(T) (or opts.seed), plain Picard with
-    the damping fallback; at and above tau_2 the zero slice is returned
-    outright.  Iterates falling below a quarter of the zero threshold collapse
-    to the exact zero slice (the operator fixes zero exactly).
-
-    Plain iteration contracts at roughly 1 - |T - T_c|/T_c near the
-    transition, so temperatures within about 1e-4 relative below T_c may
-    exhaust the iteration budget; the error carries the last iterate.
+    Seeded at the upper envelope Delta_2(T) (or opts.seed); at and above
+    tau_2, and wherever the operator linearized at zero is subcritical, the
+    zero slice is returned outright.  Each iteration takes a Newton step
+    while the iterate is a supersolution (u - Au >= -tol everywhere) and
+    stops once both the residual and the step are inside the tolerance.
+    From a subsolution seed, and always when opts.record_residuals is set,
+    it takes plain Picard steps with the damping fallback and the
+    contraction-scaled stopping rule instead.  Iterates falling below a
+    quarter of the zero threshold collapse to the exact zero slice (the
+    operator fixes zero exactly).  An exhausted iteration budget raises
+    NumericalError carrying the last iterate.
     """
     if t < 0:
         raise ConfigError("temperature must be nonnegative")
@@ -320,8 +321,10 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
     no_decrease = 0
     damping = 1.0
     for it in range(1, opts.max_iter + 1):
-        au = disc.kernel_apply(_phi_gap(disc, u, t))
-        res = float(np.max(np.abs(au - u)))
+        phi, dphi_du, _ = _gap_terms(disc, u, t)
+        au = disc.kernel_apply(phi)
+        f = u - au
+        res = float(np.max(np.abs(f)))
         if history is not None:
             history.append(res)
         if res_prev > 0 and np.isfinite(res_prev):
@@ -336,15 +339,20 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
             no_decrease = 0
         res_prev = res
 
-        u_next = au if damping == 1.0 else u + damping * (au - u)
+        if history is None and float(np.min(f)) >= -tol:
+            step = np.linalg.solve(
+                np.eye(x.size) - disc.linearized_matrix(dphi_du), f)
+            u_next = u - step
+            done = res <= tol and float(np.max(np.abs(step))) <= tol
+        else:
+            u_next = au if damping == 1.0 else u - damping * f
+            q = max(ratios) if ratios else 0.0
+            done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= tol
 
         if float(np.max(u_next)) < 0.25 * zthr:
             return GapSlice(t, x, np.zeros_like(x), it, 0.0, history)
-        if res <= tol:
-            q = max(ratios) if ratios else 0.0
-            err_est = res * q / (1.0 - q) if q < 1.0 else np.inf
-            if err_est <= tol:
-                return GapSlice(t, x, u_next, it, res, history)
+        if done:
+            return GapSlice(t, x, u_next, it, res, history)
         u = u_next
 
     raise NumericalError(
@@ -367,14 +375,7 @@ def sweep(t_grid, kernel: PotentialSpec, params: PhysicalParams,
         grid = build_grid(params)
     disc = Discretization(kernel, grid)
 
-    def one(t):
-        return solve_at_T(float(t), kernel, params, opts, disc=disc)
-
-    if opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as ex:
-            slices = list(ex.map(one, ts))
-    else:
-        slices = [one(t) for t in ts]
+    slices = [solve_at_T(float(t), kernel, params, opts, disc=disc) for t in ts]
 
     if attach_tc and tc is None:
         tc = find_Tc(kernel, params, opts, grid=grid)

@@ -1,8 +1,8 @@
 """Physical parameters, interaction kernels and the density of states.
 
-Everything here is immutable after construction and safe to evaluate from
-concurrent workers.  Energies are in units where the Boltzmann constant is 1;
-the natural choice is to measure all energies in units of the Debye energy.
+Everything here is immutable after construction.  Energies are in units
+where the Boltzmann constant is 1; the natural choice is to measure all
+energies in units of the Debye energy.
 """
 from __future__ import annotations
 

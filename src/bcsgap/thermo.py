@@ -13,7 +13,7 @@ suppresses the curvature bias a plain straight-line slope would pick up.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,9 +156,10 @@ def extract_v(kernel: PotentialSpec, params: PhysicalParams,
               tc: float | None = None, ks=range(3, 11)) -> VFunction:
     """Near-transition limit v(x) of u^2/(T_c - T) from a dyadic ladder.
 
-    Solves at T = T_c (1 - 2^-k) for k in ``ks`` (seeding each rung from the
-    previous one), fits u^2/(T_c - T) per node as a quadratic in (T_c - T) and
-    reports the intercept with a residual that also covers ladder stability.
+    Solves at T = T_c (1 - 2^-k) for k in ``ks``, each from the solver's
+    Delta_2(T) supersolution seed so that every rung runs Newton, fits
+    u^2/(T_c - T) per node as a quadratic in (T_c - T) and reports the
+    intercept with a residual that also covers ladder stability.
     """
     opts = opts or SolverOpts()
     if grid is None:
@@ -170,12 +171,9 @@ def extract_v(kernel: PotentialSpec, params: PhysicalParams,
     ks = list(ks)
     deltas = np.array([2.0 ** -k for k in ks])
     z = np.empty((len(ks), grid.count))
-    seed = None
     for i, d in enumerate(deltas):
-        o = opts if seed is None else replace(opts, seed=seed)
-        sl = solve_at_T(tc * (1.0 - d), kernel, params, o, disc=disc)
+        sl = solve_at_T(tc * (1.0 - d), kernel, params, opts, disc=disc)
         z[i] = sl.values ** 2 / (tc * d)
-        seed = sl.values / np.sqrt(2.0)
 
     dh = deltas  # already dimensionless: (T_c - T)/T_c
     coef = np.polynomial.polynomial.polyfit(dh, z, 2)
@@ -213,11 +211,8 @@ def v_selfconsistency_residual(v: VFunction, kernel: PotentialSpec,
     F(x) is the square of the kernel integral of sqrt(v)/xi * tanh(xi/2T_c);
     for the true limit function both sides coincide.
     """
-    grid = EnergyGrid(v.x)
-    disc = Discretization(kernel, grid)
-    vv = np.maximum(disc.interp(v.values), 0.0)
-    f = disc.kernel_apply(np.sqrt(vv) / disc.qn * np.tanh(disc.qn / (2.0 * tc)))
-    return float(np.max(np.abs(v.values - f * f)))
+    return float(np.max(np.abs(v.values
+                               - v_fixed_point_image(v, kernel, params, tc))))
 
 
 def v_fixed_point_image(v: VFunction, kernel: PotentialSpec,

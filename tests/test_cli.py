@@ -73,6 +73,45 @@ def test_load_config_separable_and_tabulated(tmp_path):
     assert not cfg.potential.is_constant
 
 
+def test_load_config_auto_tolerances_are_defaults(tmp_path):
+    cfg = load_config(write(tmp_path / "c.cfg",
+                            "tolerances.solver_tol = auto\n"
+                            "tolerances.t_tol = auto\n"))
+    assert cfg.solver_tol is None and cfg.t_tol is None
+    assert cfg.resolved["tolerances.solver_tol"] == "auto"
+    assert cfg.resolved["tolerances.t_tol"] == "auto"
+
+
+@pytest.mark.parametrize("line", [
+    "tolerances.solver_tol = abc",
+    "tolerances.t_tol = 1e-8x",
+    "potential.type = separable\npotential.f_values = 0.5, abc",
+    "potential.type = separable\npotential.f_values = 0.3, 0.31\n"
+    "potential.f_nodes = 0.001, one",
+    "potential.type = tabulated\npotential.nodes = 0.001, 1.0\n"
+    "potential.values = 0.3, 0.3, 0.3, x",
+])
+def test_load_config_rejects_unparseable_numbers(tmp_path, line):
+    path = write(tmp_path / "c.cfg", line + "\n")
+    with pytest.raises(ConfigError, match="invalid value"):
+        load_config(path)
+    cp = run_cli("--config", path, "universal")
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+
+
+def test_cli_tol_override_reaches_sidecar(tmp_path):
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), "--quiet",
+                 "--tol", "3e-9", "simple-gap", "--coupling", "u1",
+                 "--t-points", "9")
+    assert cp.returncode == 0, cp.stderr
+    meta = dict(line.split(" = ") for line in
+                (tmp_path / "simple_gap.csv.meta").read_text().splitlines())
+    assert float(meta["config.tolerances.quad_tol"]) == 3e-9
+    assert "defaulted.tolerances.quad_tol" not in meta
+
+
 def test_cli_universal_reports_difference(tmp_path):
     cp = run_cli("--out", str(tmp_path), "universal")
     assert cp.returncode == 0, cp.stderr

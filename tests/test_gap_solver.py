@@ -3,9 +3,9 @@ import pytest
 
 from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
                     NumericalError, PhysicalParams, SeparablePotential,
-                    SolverOpts, apply_A, apply_dA_dT, build_grid,
-                    contraction_diagnostics, du_dT_at_fixed_point, find_Tc,
-                    gap_rhs, integrate, solve_at_T, solve_simple_gap,
+                    SolverOpts, TabulatedPotential, apply_A, apply_dA_dT,
+                    build_grid, contraction_diagnostics, du_dT_at_fixed_point,
+                    find_Tc, gap_rhs, integrate, solve_at_T, solve_simple_gap,
                     solve_tau, sweep, validate_params)
 from bcsgap.gap_solver import Discretization, alpha_at
 from bcsgap.interpolate import MonotoneCubic
@@ -140,6 +140,37 @@ def test_two_seeds_same_fixed_point():
     assert np.max(np.abs(upper.values - lower.values)) <= 2.0 * tol
 
 
+@pytest.mark.parametrize("offset", [1e-4, 1e-6])
+def test_newton_converges_close_to_tc(offset):
+    # plain Picard contracts at about 1 - offset here and runs out of budget
+    tc = solve_tau(0.3, P)
+    t = tc * (1.0 - offset)
+    d20 = solve_simple_gap(0.0, P.u2, P)
+    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
+    oracle = solve_simple_gap(t, 0.3, P)
+    assert np.max(np.abs(sl.values - oracle)) <= OPTS.resolved_tol(d20)
+
+
+def tabulated_kernel(params):
+    nodes = np.linspace(params.epsilon, params.hbar_omega_d, 5)
+    vals = 0.29 + 0.02 * np.sin(np.add.outer(nodes, nodes))
+    return TabulatedPotential(nodes, vals, params)
+
+
+@pytest.mark.parametrize("kernel", [separable_kernel(P), tabulated_kernel(P)],
+                         ids=["separable", "tabulated"])
+@pytest.mark.parametrize("frac", [0.5, 0.95])
+def test_newton_matches_picard_reference(kernel, frac):
+    tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=GRID)
+    d20 = solve_simple_gap(0.0, P.u2, P)
+    tol = OPTS.resolved_tol(d20)
+    newton = solve_at_T(frac * tc, kernel, P, OPTS, grid=GRID)
+    picard = solve_at_T(frac * tc, kernel, P, SolverOpts(record_residuals=True),
+                        grid=GRID)
+    assert newton.iterations <= 20 < picard.iterations
+    assert np.max(np.abs(newton.values - picard.values)) <= 2.0 * tol
+
+
 def test_iteration_budget_error_carries_state():
     with pytest.raises(NumericalError) as exc:
         solve_at_T(0.01, K, P, SolverOpts(max_iter=3), grid=GRID)
@@ -186,16 +217,6 @@ def test_sweep_lipschitz_with_feasible_gamma():
         dt = ts[i + 1] - ts[i]
         assert np.all(du >= -2 * tol)
         assert np.all(du <= rep.gamma * dt + 2 * tol)
-
-
-def test_sweep_concurrent_matches_serial():
-    g = build_grid(P, 49)
-    ts = np.linspace(0.0, solve_tau(P.u2, P), 9)
-    serial = sweep(ts, K, P, SolverOpts(workers=1), grid=g, attach_tc=False)
-    threaded = sweep(ts, K, P, SolverOpts(workers=4), grid=g, attach_tc=False)
-    for a, b in zip(serial.slices, threaded.slices):
-        assert np.array_equal(a.values, b.values)
-        assert a.iterations == b.iterations
 
 
 def test_sweep_rejects_bad_grids():
