@@ -22,7 +22,7 @@ from .critical_field import build_hc_curve, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (SolverOpts, build_grid, contraction_diagnostics,
                          find_Tc, solve_at_T, sweep)
-from .simple_gap import (build_simple_gap_curve, solve_simple_gap, solve_tau,
+from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
                      delta_cv, cv_ratio, extract_v, universal_constant)
@@ -59,7 +59,7 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
     data["derived.tau0"] = solve_tau0(p)
     data["derived.tau3"] = tau3(p)
     opts = _opts(cfg)
-    d20 = solve_simple_gap(0.0, p.u2, p)
+    d20 = delta_at_zero(p.u2, p)
     data["derived.zero_threshold"] = opts.resolved_zero_threshold(d20)
     data["derived.solver_tol"] = opts.resolved_tol(d20)
     if extra:

@@ -16,8 +16,7 @@ from .errors import NumericalError
 from .gap_solver import (EnergyGrid, GapSlice, SolverOpts,
                          du_dT_at_fixed_point, solve_at_T)
 from .model import PhysicalParams, PotentialSpec
-from .quadrature import composite_gauss
-from .thermo import VFunction, _interp_at, _v_squared_g_deta, psi, psi_derivative
+from .thermo import VFunction, _v_squared_g_deta, psi, psi_derivative
 
 
 def hc(t: float, psi_value: float, atol: float = 0.0) -> float:
@@ -43,12 +42,7 @@ def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
 
 def hc_zero(u0_slice: GapSlice, params: PhysicalParams) -> float:
     """Zero-temperature field from the converged T = 0 slice."""
-    qn, qw = composite_gauss(u0_slice.x)
-    uu = _interp_at(u0_slice.x, u0_slice.values, qn)
-    e = np.hypot(qn, uu)
-    delta = uu * uu / (e + qn)
-    val = 8.0 * math.pi * params.n0 * float(qw @ (delta * delta / e))
-    return math.sqrt(val)
+    return hc(0.0, psi(0.0, u0_slice, params))
 
 
 @dataclass

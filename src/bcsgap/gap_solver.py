@@ -4,9 +4,11 @@ The unknown u(T, .) lives on an EnergyGrid; between nodes it is extended by
 monotone piecewise-cubic interpolation, and the operator integral is taken
 with a per-interval 7-point Gauss rule whose panels coincide with the grid
 intervals (exact for the interpolant, spectrally accurate for the smooth
-factors).  The kernel-times-weights matrix is precomputed once per
-(kernel, grid), so one operator application is a slope rebuild, a Horner
-evaluation and a matrix-vector product.
+factors).  The kernel enters as its exact rank-r factorization F G^T, with
+the weights folded into G once per (kernel, grid), so one operator
+application is a slope rebuild, a Horner evaluation and two thin
+matrix-vector products; r is 1 for constant and separable kernels and the
+table size for tabulated ones.
 
 The production iteration is Newton's method from the upper envelope
 Delta_2(T), a supersolution (Au <= u).  The map is concave in u, so Newton
@@ -34,10 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .interpolate import PreparedQueries, pchip_eval_prepared, pchip_slopes
+from .interpolate import (PreparedQueries, hat_basis, pchip_eval_prepared,
+                          pchip_slopes)
 from .model import PhysicalParams, PotentialSpec
 from .quadrature import composite_gauss
-from .simple_gap import solve_simple_gap, solve_tau, solve_tau0, tau3
+from .simple_gap import (delta_at_zero, solve_simple_gap, solve_tau, solve_tau0,
+                         tau3)
 from .special import sech2
 
 
@@ -140,7 +144,15 @@ class SolverOpts:
 
 
 class Discretization:
-    """Quadrature nodes, prepared interpolation queries and the kernel matrix."""
+    """Quadrature nodes, prepared interpolation queries and the kernel factors.
+
+    The kernel enters only through its exact factorization
+    U(x_i, xi_j) = (F G^T)_ij (see PotentialSpec.factors): F is kept at the
+    grid nodes and G, scaled by the quadrature weights, at the quadrature
+    nodes, so every product with the kernel costs O(r (n + q)) for rank r.
+    A factorization of higher rank than the grid is folded once to
+    (I_n, G F^T), the dense kernel-times-weights form.
+    """
 
     def __init__(self, kernel: PotentialSpec, grid: EnergyGrid):
         self.kernel = kernel
@@ -148,33 +160,18 @@ class Discretization:
         x = grid.nodes
         self.qn, self.qw = composite_gauss(x)
         self.prep = PreparedQueries(x, self.qn)
-        if kernel.is_constant:
-            self._mode = "const"
-            self._u0 = kernel.u0
-        elif kernel.is_separable:
-            self._mode = "sep"
-            self._fx = kernel.factor(x)
-            self._fq = kernel.factor(self.qn)
-        else:
-            self._mode = "full"
-            self._W = kernel._eval(x[:, None], self.qn[None, :]) * self.qw[None, :]
         # hat-function interpolation matrix (query values from grid values),
         # used only for the linearized operator
-        q = self.qn.size
-        P = np.zeros((q, x.size))
-        i = self.prep.idx
-        w = self.prep.t / self.prep.h
-        P[np.arange(q), i] = 1.0 - w
-        P[np.arange(q), i + 1] = w
-        self._P = P
+        self._P = hat_basis(x, self.qn)
+        f, g = kernel.factors(x, self.qn)
+        if f.shape[1] > x.size:
+            f, g = np.eye(x.size), g @ f.T
+        self._F = f
+        self._Gw = g * self.qw[:, None]
 
     def kernel_apply(self, phi: np.ndarray) -> np.ndarray:
         """Integral of U(x_i, xi) * phi(xi) over the shell, for all grid nodes."""
-        if self._mode == "const":
-            return np.full(self.grid.count, self._u0 * float(self.qw @ phi))
-        if self._mode == "sep":
-            return self._fx * float((self._fq * self.qw) @ phi)
-        return self._W @ phi
+        return self._F @ (self._Gw.T @ phi)
 
     def interp(self, values: np.ndarray) -> np.ndarray:
         d = pchip_slopes(self.grid.nodes, values)
@@ -182,23 +179,12 @@ class Discretization:
 
     def linearized_matrix(self, weight_q: np.ndarray) -> np.ndarray:
         """Matrix of u -> integral U(x_i, xi) weight(xi) u(xi) dxi on grid values."""
-        if self._mode == "const":
-            row = (self.qw * weight_q) @ self._P
-            return self._u0 * np.tile(row, (self.grid.count, 1))
-        if self._mode == "sep":
-            row = (self._fq * self.qw * weight_q) @ self._P
-            return np.outer(self._fx, row)
-        return (self._W * weight_q) @ self._P
+        return self._F @ ((self._Gw * weight_q[:, None]).T @ self._P)
 
     def spectral_radius(self, weight_q: np.ndarray) -> float:
-        if self._mode == "const":
-            return self._u0 * float(self.qw @ weight_q)
-        if self._mode == "sep":
-            # rank one: radius is the trace of the outer-product form
-            row = (self._fq * self.qw * weight_q) @ self._P
-            return float(row @ self._fx)
-        m = self.linearized_matrix(weight_q)
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
+        """Perron root of linearized_matrix(weight_q), from its r-by-r core."""
+        core = (self._Gw * weight_q[:, None]).T @ self._P @ self._F
+        return float(np.max(np.abs(np.linalg.eigvals(core))))
 
 
 def _gap_terms(disc: Discretization, values: np.ndarray, t: float):
@@ -259,10 +245,6 @@ def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
                            disc.kernel_apply(dphi_dT))
 
 
-def _delta2_zero(params: PhysicalParams) -> float:
-    return solve_simple_gap(0.0, params.u2, params)
-
-
 def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
                opts: SolverOpts | None = None,
                grid: EnergyGrid | None = None,
@@ -304,7 +286,7 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
         return GapSlice(t, x, np.zeros_like(x), 0, 0.0,
                         [] if opts.record_residuals else None)
 
-    d20 = _delta2_zero(params)
+    d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
     zthr = opts.resolved_zero_threshold(d20)
 
@@ -379,7 +361,7 @@ def sweep(t_grid, kernel: PotentialSpec, params: PhysicalParams,
 
     if attach_tc and tc is None:
         tc = find_Tc(kernel, params, opts, grid=grid)
-    d20 = _delta2_zero(params)
+    d20 = delta_at_zero(params.u2, params)
     meta = {
         "energy_points": grid.count,
         "t_points": ts.size,
@@ -430,7 +412,7 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
     tc = hi
 
     if opts.confirm_tc:
-        d20 = _delta2_zero(params)
+        d20 = delta_at_zero(params.u2, params)
         zthr = opts.resolved_zero_threshold(d20)
         m = min(0.02 * tc, 0.45 * (tc - tau1), 0.45 * (tau2 - tc))
         if m > 10 * t_tol:

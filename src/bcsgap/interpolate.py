@@ -45,6 +45,22 @@ def _edge_slope(h0, h1, del0, del1):
     return d
 
 
+def hat_basis(nodes: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Matrix H with (H @ y) the piecewise-linear interpolant of y at xq.
+
+    Queries outside [nodes[0], nodes[-1]] take the nearest end value.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    i = np.clip(np.searchsorted(nodes, xq, side="right") - 1, 0, nodes.size - 2)
+    w = (np.clip(xq, nodes[0], nodes[-1]) - nodes[i]) / (nodes[i + 1] - nodes[i])
+    h = np.zeros((xq.size, nodes.size))
+    rows = np.arange(xq.size)
+    h[rows, i] = 1.0 - w
+    h[rows, i + 1] = w
+    return h
+
+
 class PreparedQueries:
     """Interval indices and offsets for a fixed set of query points."""
 

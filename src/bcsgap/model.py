@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .interpolate import hat_basis
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,10 @@ def _readonly(a):
 class PotentialSpec:
     """Interaction kernel U(x, xi) on [epsilon, hbar_omega_d]^2.
 
-    Subclasses provide ``_eval`` on already-validated broadcastable arrays.
+    Every kernel is an exact finite-rank product: ``factors(x, xi)`` returns
+    F (len(x) by r) and G (len(xi) by r) with U(x_i, xi_j) = (F G^T)_ij, of
+    rank 1 for constant and separable kernels and of the table size for
+    tabulated ones.  Point values are derived from the same factors.
     Construction checks that the kernel range lies strictly inside (u1, u2).
     """
 
@@ -71,8 +75,14 @@ class PotentialSpec:
                 f"(range [{lo:g}, {hi:g}] vs ({self.u1:g}, {self.u2:g}))"
             )
 
-    def _eval(self, x, xi):
+    def factors(self, x: np.ndarray, xi: np.ndarray):
+        """(F, G) with U(x_i, xi_j) = (F G^T)_ij for 1-d arrays x and xi."""
         raise NotImplementedError
+
+    def _eval(self, x, xi):
+        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+        f, g = self.factors(x.ravel(), xi.ravel())
+        return np.sum(f * g, axis=1).reshape(x.shape)
 
     @property
     def is_constant(self) -> bool:
@@ -89,8 +99,8 @@ class ConstantPotential(PotentialSpec):
         self.u0 = float(u0)
         self._check_range(self.u0, self.u0)
 
-    def _eval(self, x, xi):
-        return np.broadcast_to(self.u0, np.broadcast(x, xi).shape).copy()
+    def factors(self, x, xi):
+        return np.full((x.size, 1), self.u0), np.ones((xi.size, 1))
 
     @property
     def is_constant(self) -> bool:
@@ -117,11 +127,9 @@ class SeparablePotential(PotentialSpec):
         lo, hi = self.f_values.min(), self.f_values.max()
         self._check_range(lo * lo, hi * hi)
 
-    def factor(self, x):
-        return np.interp(x, self.f_nodes, self.f_values)
-
-    def _eval(self, x, xi):
-        return self.factor(x) * self.factor(xi)
+    def factors(self, x, xi):
+        return (np.interp(x, self.f_nodes, self.f_values)[:, None],
+                np.interp(xi, self.f_nodes, self.f_values)[:, None])
 
     @property
     def is_separable(self) -> bool:
@@ -129,7 +137,10 @@ class SeparablePotential(PotentialSpec):
 
 
 class TabulatedPotential(PotentialSpec):
-    """Kernel tabulated on a node grid, bilinear in between, clamped at edges."""
+    """Kernel tabulated on a node grid, bilinear in between, clamped at edges.
+
+    With H the clamped hat basis on the table nodes, U = H(x) V H(xi)^T.
+    """
 
     def __init__(self, nodes, values, params: PhysicalParams):
         super().__init__(params)
@@ -144,19 +155,8 @@ class TabulatedPotential(PotentialSpec):
             raise ConfigError("tabulated kernel values must be an n-by-n table")
         self._check_range(self.values.min(), self.values.max())
 
-    def _cell(self, q):
-        t = self.nodes
-        i = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
-        w = (np.clip(q, t[0], t[-1]) - t[i]) / (t[i + 1] - t[i])
-        return i, w
-
-    def _eval(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        i, s = self._cell(x)
-        j, t = self._cell(xi)
-        v = self.values
-        return ((1 - s) * (1 - t) * v[i, j] + s * (1 - t) * v[i + 1, j]
-                + (1 - s) * t * v[i, j + 1] + s * t * v[i + 1, j + 1])
+    def factors(self, x, xi):
+        return hat_basis(self.nodes, x) @ self.values, hat_basis(self.nodes, xi)
 
 
 def eval_kernel(spec: PotentialSpec, x, xi):

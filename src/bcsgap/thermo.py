@@ -51,18 +51,10 @@ def g_weight(eta):
     return float(out[0]) if scalar else out
 
 
-def _panel(slice_x: np.ndarray):
-    return composite_gauss(slice_x)
-
-
-def _interp_at(x, values, qn):
-    return MonotoneCubic(x, values)(qn)
-
-
 def psi(t: float, u: GapSlice, params: PhysicalParams) -> float:
     """Condensation part of the thermodynamic potential at one temperature."""
-    qn, qw = _panel(u.x)
-    uu = _interp_at(u.x, u.values, qn)
+    qn, qw = composite_gauss(u.x)
+    uu = MonotoneCubic(u.x, u.values)(qn)
     e = np.hypot(qn, uu)
     u2 = uu * uu
     delta = u2 / (e + qn)  # E - xi without cancellation
@@ -82,9 +74,9 @@ def psi_derivative(t: float, u: GapSlice, du: np.ndarray,
     """Analytic temperature derivative of psi along the solution; T > 0."""
     if t <= 0.0:
         raise ValueError("psi_derivative needs T > 0; the T = 0 value is 0")
-    qn, qw = _panel(u.x)
-    uu = _interp_at(u.x, u.values, qn)
-    dd = _interp_at(u.x, np.asarray(du, dtype=float), qn)
+    qn, qw = composite_gauss(u.x)
+    uu = MonotoneCubic(u.x, u.values)(qn)
+    dd = MonotoneCubic(u.x, du)(qn)
     e2 = qn * qn + uu * uu
     e = np.sqrt(e2)
     th = np.tanh(e / (2.0 * t))
@@ -193,8 +185,8 @@ def extract_v(kernel: PotentialSpec, params: PhysicalParams,
 
 def _v_squared_g_deta(v: VFunction, params: PhysicalParams, tc: float) -> float:
     """Integral of v(2 T_c eta)^2 g(eta) d eta over the shell, in eta units."""
-    qn, qw = _panel(v.x)
-    vv = np.maximum(_interp_at(v.x, v.values, qn), 0.0)
+    qn, qw = composite_gauss(v.x)
+    vv = np.maximum(MonotoneCubic(v.x, v.values)(qn), 0.0)
     return float(qw @ (vv * vv * g_weight(qn / (2.0 * tc)))) / (2.0 * tc)
 
 

@@ -157,6 +157,47 @@ def tabulated_kernel(params):
     return TabulatedPotential(nodes, vals, params)
 
 
+def _dense_kernel(kernel, x, xi, bilinear):
+    """U at every (x_i, xi_j), written out per kernel type."""
+    if isinstance(kernel, ConstantPotential):
+        return np.full((x.size, xi.size), kernel.u0)
+    if isinstance(kernel, SeparablePotential):
+        return np.outer(np.interp(x, kernel.f_nodes, kernel.f_values),
+                        np.interp(xi, kernel.f_nodes, kernel.f_values))
+    return bilinear(kernel.nodes, kernel.values, x[:, None], xi[None, :])
+
+
+def _table(nodes):
+    rng = np.random.RandomState(5)
+    return TabulatedPotential(nodes, rng.uniform(0.26, 0.34, (nodes.size, nodes.size)), P)
+
+
+@pytest.mark.parametrize("kernel,grid", [
+    (K, GRID),
+    (separable_kernel(P), GRID),
+    (_table(np.linspace(0.1, 0.9, 5)), GRID),
+    (_table(np.linspace(P.epsilon, P.hbar_omega_d, 40)), build_grid(P, 17)),
+], ids=["constant", "separable", "table5", "table40-grid17"])
+def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
+    # the rank-r products against the dense kernel-times-weights matrix and
+    # a hat-interpolation matrix built column by column with np.interp
+    disc = Discretization(kernel, grid)
+    x, qn, qw = grid.nodes, disc.qn, disc.qw
+    w_dense = _dense_kernel(kernel, x, qn, bilinear) * qw[None, :]
+    hat = np.column_stack([np.interp(qn, x, e) for e in np.eye(x.size)])
+    phi = 0.05 + 0.01 * np.sin(3.0 * qn)
+    weight = np.tanh(qn / (2.0 * 0.02)) / qn
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    assert close(disc.kernel_apply(phi), w_dense @ phi)
+    dense = (w_dense * weight[None, :]) @ hat
+    assert close(disc.linearized_matrix(weight), dense)
+    rho = np.max(np.abs(np.linalg.eigvals(dense)))
+    assert abs(disc.spectral_radius(weight) - rho) <= 1e-12 * rho
+
+
 @pytest.mark.parametrize("kernel", [separable_kernel(P), tabulated_kernel(P)],
                          ids=["separable", "tabulated"])
 @pytest.mark.parametrize("frac", [0.5, 0.95])

@@ -76,6 +76,18 @@ def test_tabulated_clamps_at_edges():
     assert eval_kernel(k, 1.0, 1.0) == pytest.approx(vals[-1, -1])
 
 
+def test_tabulated_matches_bilinear_reference(bilinear):
+    # table nodes inside the shell, so random points also hit the clamping
+    nodes = np.linspace(0.1, 0.9, 5)
+    vals = np.random.RandomState(13).uniform(0.26, 0.34, (5, 5))
+    k = TabulatedPotential(nodes, vals, P)
+    rng = np.random.RandomState(17)
+    x = rng.uniform(P.epsilon, 1.0, 1000)
+    y = rng.uniform(P.epsilon, 1.0, 1000)
+    assert np.allclose(eval_kernel(k, x, y), bilinear(nodes, vals, x, y),
+                       rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: ConstantPotential(0.3, P),
     lambda: SeparablePotential(np.linspace(P.epsilon, 1.0, 9),
