@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, tolerance
 from .critical_field import build_hc_curve, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (SolverOpts, build_grid, contraction_diagnostics,
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "superconducting thermodynamics")
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=tolerance, default=None,
                    help="override the quadrature tolerance")
     p.add_argument("--quiet", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)

@@ -69,12 +69,22 @@ def _get(items, defaults_applied, key, default, cast):
 
 
 def _floats(text: str) -> np.ndarray:
-    return np.array([float(s) for s in text.split(",") if s.strip() != ""])
+    values = np.array([float(s) for s in text.split(",") if s.strip() != ""])
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise ValueError(f"not a list of finite numbers: {text}")
+    return values
 
 
-def _auto_float(text: str) -> float | None:
+def tolerance(text: str) -> float:
+    """A finite, positive tolerance; anything else raises ValueError."""
+    if not 0.0 < float(text) < np.inf:
+        raise ValueError(f"not a finite positive number: {text}")
+    return float(text)
+
+
+def _auto_tolerance(text: str) -> float | None:
     """A tolerance value; 'auto' selects the solver's default (None)."""
-    return None if text == "auto" else float(text)
+    return None if text == "auto" else tolerance(text)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -143,10 +153,10 @@ def load_config(path: str | None) -> RunConfig:
     if t_points < 8:
         raise ConfigError("grids.t_points must be at least 8")
 
-    quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, float)
+    quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, tolerance)
     # absent and 'auto' both resolve to the solver default, echoed as 'auto'
-    solver_tol = _get(items, {}, "tolerances.solver_tol", None, _auto_float)
-    t_tol = _get(items, {}, "tolerances.t_tol", None, _auto_float)
+    solver_tol = _get(items, {}, "tolerances.solver_tol", None, _auto_tolerance)
+    t_tol = _get(items, {}, "tolerances.t_tol", None, _auto_tolerance)
 
     resolved = {
         "hbar_omega_d": om, "epsilon": eps, "mu": mu, "n0": n0,

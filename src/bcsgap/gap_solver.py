@@ -300,6 +300,7 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
     history = [] if opts.record_residuals else None
     res_prev = np.inf
     ratios = []
+    at_floor = False
     no_decrease = 0
     damping = 1.0
     for it in range(1, opts.max_iter + 1):
@@ -309,7 +310,10 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
         res = float(np.max(np.abs(f)))
         if history is not None:
             history.append(res)
-        if res_prev > 0 and np.isfinite(res_prev):
+        # a residual inside tol that stops falling is at the roundoff floor,
+        # where ratios measure noise, not the contraction: keep q from before
+        at_floor = at_floor or res_prev <= res <= tol
+        if res_prev > 0 and np.isfinite(res_prev) and not at_floor:
             ratios.append(res / res_prev)
             if len(ratios) > 5:
                 ratios.pop(0)

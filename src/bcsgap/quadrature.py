@@ -7,8 +7,8 @@ semi-infinite integrals of exponentially decaying integrands by truncation at
 60 decay lengths (e^-60 ~ 1e-26, far below every tolerance used here).
 
 ``composite_gauss`` builds the fixed Gauss-Legendre panel rule used by the
-gap solver's hot loop; it is exact for piecewise-cubic integrand factors whose
-breakpoints coincide with the panel boundaries.
+gap solver's hot loop and the constant-coupling gap integral; it is exact for
+piecewise-cubic integrand factors whose breakpoints coincide with the panels.
 """
 from __future__ import annotations
 
@@ -141,14 +141,12 @@ def integrate_tail(f, a: float, decay_scale: float, tol: float = 1e-10) -> QuadR
                       r1.evaluations + r2.evaluations)
 
 
-def composite_gauss(breakpoints, npts: int = 7):
-    """Per-interval Gauss-Legendre nodes and weights over sorted breakpoints.
+def composite_gauss(breakpoints):
+    """Per-interval 7-point Gauss-Legendre nodes and weights on sorted breakpoints.
 
     Returns (nodes, weights) flattened in ascending order; exact for
-    polynomials of degree 2*npts-1 on each interval.
+    polynomials of degree 13 on each interval.
     """
-    if npts != 7:
-        raise ValueError("only the 7-point panel rule is provided")
     x = np.asarray(breakpoints, dtype=float)
     lo = x[:-1]
     h = 0.5 * np.diff(x)

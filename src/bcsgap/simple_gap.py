@@ -6,6 +6,10 @@ Delta_2 that sandwich the full solution, the vanishing temperatures tau_1 <
 tau_2 bracket the transition, and the crossing temperature tau_0 (where
 Delta_1 equals 2*z0*T) fixes the small-temperature regime boundary
 tau_3 = tau_0 / 2 used by the contraction diagnostics.
+
+The gap integral is one fixed 7-point Gauss rule on panels of width <= 1/2 in
+ln(xi): its singularities all lie at arg xi = +-pi/2 for every T and Delta, so
+it converges geometrically, to about 1e-15, with no tolerance to set.
 """
 from __future__ import annotations
 
@@ -17,10 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .model import PhysicalParams
-from .quadrature import integrate
+from .quadrature import composite_gauss
 from .rootfind import grow_bracket_up, solve_bracketed
-
-_QUAD_TOL = 1e-13
 
 
 @lru_cache(maxsize=None)
@@ -30,17 +32,21 @@ def solve_z0() -> float:
                            rtol=1e-15)
 
 
-def gap_rhs(u_const: float, t: float, delta: float, params: PhysicalParams,
-            tol: float = _QUAD_TOL) -> float:
+@lru_cache(maxsize=None)
+def _log_panel_rule(eps: float, om: float):
+    """Nodes xi and weights w with integral_eps^om f dxi ~ w @ f(xi)."""
+    length = math.log(om / eps)
+    s, qw = composite_gauss(np.linspace(0.0, length, math.ceil(2.0 * length) + 1))
+    xi = eps * np.exp(s)
+    return xi, qw * xi
+
+
+def gap_rhs(u_const: float, t: float, delta: float, params: PhysicalParams) -> float:
     """Right side of the constant-coupling gap equation at (T, Delta)."""
-    if t == 0.0:
-        def f(xi):
-            return 1.0 / np.hypot(xi, delta)
-    else:
-        def f(xi):
-            e = np.hypot(xi, delta)
-            return np.tanh(e / (2.0 * t)) / e
-    return u_const * integrate(f, params.epsilon, params.hbar_omega_d, tol).value
+    xi, w = _log_panel_rule(params.epsilon, params.hbar_omega_d)
+    e = np.hypot(xi, delta)
+    f = 1.0 / e if t == 0.0 else np.tanh(e / (2.0 * t)) / e
+    return u_const * float(w @ f)
 
 
 def delta_at_zero(u_const: float, params: PhysicalParams) -> float:
@@ -60,17 +66,11 @@ def solve_tau(u_const: float, params: PhysicalParams) -> float:
     if u_const * math.log(om / eps) <= 1.0:
         raise NumericalError("no transition for this coupling/cutoff")
 
+    # f(0) = u_const * ln(om/eps) - 1 > 0, so T = 0 brackets the root from below
     def f(t):
         return gap_rhs(u_const, t, 0.0, params) - 1.0
 
-    lo = 1e-8 * om
-    for _ in range(80):
-        if f(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NumericalError("no transition for this coupling/cutoff")
-    lo, hi = grow_bracket_up(f, lo, max(om, 4.0 * lo))
+    lo, hi = grow_bracket_up(f, 0.0, om)
     return solve_bracketed(f, lo, hi, rtol=1e-12)
 
 
@@ -96,8 +96,9 @@ def solve_tau0(params: PhysicalParams) -> float:
     z0 = solve_z0()
     tau1 = solve_tau(params.u1, params)
 
+    # gap_rhs falls with Delta, so h has the sign of Delta_1(T) - 2*z0*T
     def h(t):
-        return solve_simple_gap(t, params.u1, params) - 2.0 * z0 * t
+        return gap_rhs(params.u1, t, 2.0 * z0 * t, params) - 1.0
 
     return solve_bracketed(h, 1e-6 * tau1, tau1 * (1.0 - 1e-12), rtol=1e-12)
 

@@ -9,9 +9,9 @@ from bcsgap import ConfigError, load_config
 from bcsgap.thermo import JUMP_RATIO_WIDE_SHELL
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "bcsgap", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 def write(path: Path, text: str) -> str:
@@ -98,6 +98,22 @@ def test_load_config_rejects_unparseable_numbers(tmp_path, line):
     cp = run_cli("--config", path, "universal")
     assert cp.returncode == 2
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("line, args", [
+    ("tolerances.quad_tol = 0", ("ratio",)),
+    ("tolerances.solver_tol = -1", ("tc",)),
+    ("tolerances.t_tol = nan", ("tc",)),
+    ("tolerances.t_tol = inf", ("tc",)),
+    ("", ("--tol", "0", "tc")),
+])
+def test_cli_rejects_bad_tolerances(tmp_path, line, args):
+    # each once ended in a traceback, a hang or T_c = tau_2 with exit 0
+    cfg = write(tmp_path / "c.cfg", FAST_CFG + line + "\n")
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), *args, timeout=60)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert "tol" in cp.stderr
 
 
 def test_cli_tol_override_reaches_sidecar(tmp_path):

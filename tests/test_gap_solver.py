@@ -212,6 +212,19 @@ def test_newton_matches_picard_reference(kernel, frac):
     assert np.max(np.abs(newton.values - picard.values)) <= 2.0 * tol
 
 
+def test_picard_stops_at_the_roundoff_floor():
+    # the residual reaches its roundoff floor (about 3e-18) long before the
+    # budget; ratios measured there are noise and must not block the stop
+    grid = build_grid(P, 33)
+    tc = find_Tc(K, P, SolverOpts(confirm_tc=False), grid=grid)
+    tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
+    t = tc * (1.0 - 2.0 ** -4)
+    newton = solve_at_T(t, K, P, SolverOpts(tol=tol), grid=grid)
+    picard = solve_at_T(t, K, P, SolverOpts(record_residuals=True, tol=tol,
+                                            max_iter=60_000), grid=grid)
+    assert np.max(np.abs(picard.values - newton.values)) <= tol
+
+
 def test_iteration_budget_error_carries_state():
     with pytest.raises(NumericalError) as exc:
         solve_at_T(0.01, K, P, SolverOpts(max_iter=3), grid=GRID)

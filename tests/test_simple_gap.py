@@ -144,3 +144,29 @@ def test_curve_builder():
 def test_negative_temperature_rejected():
     with pytest.raises(ConfigError):
         solve_simple_gap(-0.1, 0.3, P)
+
+
+def _gap_rhs_grid():
+    """40 (epsilon, T, Delta) points: every cutoff, T from 0 to 3 tau."""
+    tau = solve_tau(0.3, P)
+    eps = (1e-8, 1e-6, 1e-4, 1e-3, 0.05)
+    temps = (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0)
+    deltas = (0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 1.0)
+    return [(e, f * tau, deltas[(i + 3 * j) % len(deltas)])
+            for j, e in enumerate(eps) for i, f in enumerate(temps)]
+
+
+@pytest.mark.parametrize("eps, t, delta", _gap_rhs_grid())
+def test_gap_rhs_matches_mpmath(eps, t, delta):
+    mp = pytest.importorskip("mpmath")
+    p = validate_params(PhysicalParams(eps, 1.0, 20.0, 1.0, 0.25, 0.35))
+
+    def f(xi):
+        e = mp.sqrt(xi * xi + mp.mpf(delta) ** 2)
+        return 1 / e if t == 0.0 else mp.tanh(e / (2 * mp.mpf(t))) / e
+
+    # split where the integrand varies on the scale of ln(xi)
+    with mp.workdps(20):
+        cuts = [mp.mpf(eps) * mp.e ** k for k in range(int(math.log(1.0 / eps)) + 1)]
+        ref = mp.quad(f, cuts + [mp.mpf(1)])
+    assert gap_rhs(1.0, t, delta, p) == pytest.approx(float(ref), rel=1e-14, abs=0)
