@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gap_solver import (EnergyGrid, GapSlice, SolverOpts,
+from .gap_solver import (Discretization, EnergyGrid, GapSlice, SolverOpts,
                          du_dT_at_fixed_point, solve_at_T)
 from .model import PhysicalParams, PotentialSpec
 from .thermo import VFunction, _v_squared_g_deta, psi, psi_derivative
@@ -77,6 +77,7 @@ def build_hc_curve(surface, v: VFunction, kernel: PotentialSpec,
     slope_tc = slope_at_tc(v, params, tc)
 
     ts = surface.t_grid
+    disc = Discretization(kernel, EnergyGrid(surface.slices[0].x))
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
     for i, sl in enumerate(surface.slices):
@@ -91,15 +92,14 @@ def build_hc_curve(surface, v: VFunction, kernel: PotentialSpec,
         if t == 0.0:
             dh[i] = 0.0
         else:
-            du = du_dT_at_fixed_point(sl, kernel, params)
+            du = du_dT_at_fixed_point(sl, kernel, params, disc)
             dp = psi_derivative(t, sl, du, params)
             dh[i] = hc_slope(t, p, dp)
 
     if ts[0] == 0.0:
         slice0 = surface.slices[0]
     else:
-        slice0 = solve_at_T(0.0, kernel, params, opts,
-                            grid=EnergyGrid(surface.slices[0].x))
+        slice0 = solve_at_T(0.0, kernel, params, opts, disc=disc)
     h0 = hc_zero(slice0, params)
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 

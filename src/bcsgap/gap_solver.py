@@ -1,33 +1,30 @@
 """Discretized gap operator, Newton/Picard fixed-point solver, sweeps and T_c.
 
-The unknown u(T, .) lives on an EnergyGrid; between nodes it is extended by
-monotone piecewise-cubic interpolation, and the operator integral is taken
-with a per-interval 7-point Gauss rule whose panels coincide with the grid
-intervals (exact for the interpolant, spectrally accurate for the smooth
-factors).  The kernel enters as its exact rank-r factorization F G^T, with
-the weights folded into G once per (kernel, grid), so one operator
-application is a slope rebuild, a Horner evaluation and two thin
-matrix-vector products; r is 1 for constant and separable kernels and the
-table size for tabulated ones.
+The kernel enters as its exact rank-r factorization U = F G^T (r is 1 for
+constant and separable kernels, the table size for tabulated ones), so every
+iterate is u = F(x) c and the unknowns are the r coefficients c.  Between
+grid nodes each column of F is extended by monotone piecewise-cubic
+interpolation (Ft), and the integral is a 7-point Gauss rule on each grid
+interval, with the weights folded into Gw: the iterated map is
+c -> Gw^T phi_T(Ft c).  For rank 1 Ft c is exactly the monotone cubic
+interpolant of the grid values F c, which is homogeneous of degree one.
+Every linearization of the map is the r-by-r matrix core(w) = (Gw w)^T Ft:
+the Newton Jacobian, du/dT, and the operator linearized at u = 0.
 
-The production iteration is Newton's method from the upper envelope
-Delta_2(T), a supersolution (Au <= u).  The map is concave in u, so Newton
-iterates from a supersolution stay above the fixed point and the step count
-does not grow as T approaches T_c, where plain Picard contracts at roughly
-1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it runs
-from subsolution seeds and whenever residual histories are recorded.  With
-measured residual ratio q its distance to the fixed point is about
+The production iteration is Newton's method from the image of the upper
+envelope Delta_2(T), a supersolution (Au <= u).  The map is concave in u, so
+Newton iterates from a supersolution stay above the fixed point and the step
+count does not grow as T approaches T_c, where plain Picard contracts at
+roughly 1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it
+runs from subsolution seeds and whenever residual histories are recorded.
+With measured residual ratio q its distance to the fixed point is about
 residual * q / (1 - q); it stops only when that estimate is inside the
 tolerance, so a slow contraction cannot terminate on a deceptively small
 residual.
 
-T_c detection bisects the zero/nonzero predicate.  Away from the transition
-the predicate is decided by the solver itself; at the bisection's fine scale
-the same boundary is located as the instability threshold of the discretized
-operator linearized at u = 0 (its Perron eigenvalue crossing 1), which is the
-exact zero/nonzero boundary of the discrete fixed-point problem and, unlike
-plain Picard iteration, is decidable at tolerance 1e-8 * tau_2.  The result
-is confirmed by two actual solves at resolvable offsets.
+T_c is found by bisecting on the Perron root of core(tanh(xi/2T)/xi)
+crossing 1, the exact zero/nonzero boundary of the iterated map, to
+1e-8 * tau_2; two solves at resolvable offsets confirm it.
 """
 from __future__ import annotations
 
@@ -36,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .interpolate import (PreparedQueries, hat_basis, pchip_eval_prepared,
-                          pchip_slopes)
+from .interpolate import MonotoneCubic
 from .model import PhysicalParams, PotentialSpec
 from .quadrature import composite_gauss
 from .simple_gap import (delta_at_zero, solve_simple_gap, solve_tau, solve_tau0,
@@ -80,12 +76,14 @@ def build_grid(params: PhysicalParams, count: int = 129) -> EnergyGrid:
 
 @dataclass
 class GapSlice:
+    """Gap values on the grid nodes x; from solve_at_T, values = F(x) @ coef."""
     T: float
     x: np.ndarray
     values: np.ndarray
     iterations: int
     final_residual: float
     residual_history: list | None = field(default=None, repr=False)
+    coef: np.ndarray | None = field(default=None, repr=False)
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -144,14 +142,15 @@ class SolverOpts:
 
 
 class Discretization:
-    """Quadrature nodes, prepared interpolation queries and the kernel factors.
+    """Quadrature rule and kernel factors for one (kernel, grid) pair.
 
     The kernel enters only through its exact factorization
-    U(x_i, xi_j) = (F G^T)_ij (see PotentialSpec.factors): F is kept at the
-    grid nodes and G, scaled by the quadrature weights, at the quadrature
-    nodes, so every product with the kernel costs O(r (n + q)) for rank r.
-    A factorization of higher rank than the grid is folded once to
-    (I_n, G F^T), the dense kernel-times-weights form.
+    U(x_i, xi_j) = (F G^T)_ij (see PotentialSpec.factors).  F is kept at the
+    grid nodes and, column by column as its monotone cubic interpolant Ft, at
+    the quadrature nodes; G, scaled by the quadrature weights, is Gw.  Every
+    product with the kernel costs O(r (n + q)) for rank r, and every
+    linearization of the iterated map c -> Gw^T phi(Ft c) is the r-by-r
+    core(weight).
     """
 
     def __init__(self, kernel: PotentialSpec, grid: EnergyGrid):
@@ -159,41 +158,34 @@ class Discretization:
         self.grid = grid
         x = grid.nodes
         self.qn, self.qw = composite_gauss(x)
-        self.prep = PreparedQueries(x, self.qn)
-        # hat-function interpolation matrix (query values from grid values),
-        # used only for the linearized operator
-        self._P = hat_basis(x, self.qn)
         f, g = kernel.factors(x, self.qn)
-        if f.shape[1] > x.size:
-            f, g = np.eye(x.size), g @ f.T
-        self._F = f
-        self._Gw = g * self.qw[:, None]
+        self.F = f
+        self.Ft = np.column_stack([self.interp(col) for col in f.T])
+        self.Gw = g * self.qw[:, None]
 
     def kernel_apply(self, phi: np.ndarray) -> np.ndarray:
         """Integral of U(x_i, xi) * phi(xi) over the shell, for all grid nodes."""
-        return self._F @ (self._Gw.T @ phi)
+        return self.F @ (self.Gw.T @ phi)
 
     def interp(self, values: np.ndarray) -> np.ndarray:
-        d = pchip_slopes(self.grid.nodes, values)
-        return pchip_eval_prepared(values, d, self.prep)
+        """Monotone cubic interpolant of grid values, at the quadrature nodes."""
+        return MonotoneCubic(self.grid.nodes, values)(self.qn)
 
-    def linearized_matrix(self, weight_q: np.ndarray) -> np.ndarray:
-        """Matrix of u -> integral U(x_i, xi) weight(xi) u(xi) dxi on grid values."""
-        return self._F @ ((self._Gw * weight_q[:, None]).T @ self._P)
+    def core(self, weight_q: np.ndarray) -> np.ndarray:
+        """Matrix of c -> Gw^T (weight * Ft c), the map linearized with weight."""
+        return (self.Gw * weight_q[:, None]).T @ self.Ft
 
     def spectral_radius(self, weight_q: np.ndarray) -> float:
-        """Perron root of linearized_matrix(weight_q), from its r-by-r core."""
-        core = (self._Gw * weight_q[:, None]).T @ self._P @ self._F
-        return float(np.max(np.abs(np.linalg.eigvals(core))))
+        """Perron root of core(weight_q)."""
+        return float(np.max(np.abs(np.linalg.eigvals(self.core(weight_q)))))
 
 
-def _gap_terms(disc: Discretization, values: np.ndarray, t: float):
+def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
     """phi(u) = u/E tanh(E/2T) at the quadrature nodes and its u- and T-partials.
 
-    Returns (phi, dphi/du, dphi/dT) for E = sqrt(xi^2 + u^2), u the
-    interpolated slice; at T = 0 the tanh factor is 1 and dphi/dT is 0.
+    Returns (phi, dphi/du, dphi/dT) for E = sqrt(xi^2 + u^2), u given at the
+    quadrature nodes; at T = 0 the tanh factor is 1 and dphi/dT is 0.
     """
-    u = disc.interp(values)
     e2 = disc.qn ** 2 + u ** 2
     e = np.sqrt(e2)
     if t == 0.0:
@@ -209,7 +201,7 @@ def apply_A(u: GapSlice, kernel: PotentialSpec, params: PhysicalParams,
     """One application of the gap operator to a slice."""
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    out = disc.kernel_apply(_gap_terms(disc, u.values, u.T)[0])
+    out = disc.kernel_apply(_gap_terms(disc, disc.interp(u.values), u.T)[0])
     return GapSlice(u.T, u.x, out, u.iterations, u.final_residual)
 
 
@@ -221,7 +213,7 @@ def apply_dA_dT(u: GapSlice, du: np.ndarray, kernel: PotentialSpec,
                          "the T = 0 limit is identically zero")
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    _, dphi_du, dphi_dT = _gap_terms(disc, u.values, u.T)
+    _, dphi_du, dphi_dT = _gap_terms(disc, disc.interp(u.values), u.T)
     return disc.kernel_apply(dphi_du * disc.interp(np.asarray(du, dtype=float))
                              + dphi_dT)
 
@@ -229,20 +221,21 @@ def apply_dA_dT(u: GapSlice, du: np.ndarray, kernel: PotentialSpec,
 def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
                          params: PhysicalParams,
                          disc: Discretization | None = None) -> np.ndarray:
-    """Solve the linear fixed-point equation for du/dT at a converged slice.
+    """du/dT at a converged slice from solve_at_T, on the grid nodes.
 
-    Differentiating u = Au in T gives du = L du + c with L the
-    derivative-coupling part of the operator and c the explicit temperature
-    term; the dense linear system is solved directly on the grid.
+    Differentiating c = Gw^T phi_T(Ft c) in T gives
+    (I - core(dphi/du)) dc/dT = Gw^T dphi/dT, one r-by-r solve; du/dT is
+    F dc/dT, the exact derivative of the discrete solution.
     """
     if u.T <= 0.0:
         return np.zeros_like(u.values)
+    if u.coef is None:
+        raise ValueError("du/dT needs the kernel coefficients of a solved slice")
     if disc is None:
         disc = Discretization(kernel, EnergyGrid(u.x))
-    _, dphi_du, dphi_dT = _gap_terms(disc, u.values, u.T)
-    n = disc.grid.count
-    return np.linalg.solve(np.eye(n) - disc.linearized_matrix(dphi_du),
-                           disc.kernel_apply(dphi_dT))
+    _, dphi_du, dphi_dT = _gap_terms(disc, disc.Ft @ u.coef, u.T)
+    return disc.F @ np.linalg.solve(np.eye(u.coef.size) - disc.core(dphi_du),
+                                    disc.Gw.T @ dphi_dT)
 
 
 def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
@@ -251,17 +244,19 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
                disc: Discretization | None = None) -> GapSlice:
     """Fixed point of the gap operator at one temperature.
 
-    Seeded at the upper envelope Delta_2(T) (or opts.seed); at and above
-    tau_2, and wherever the operator linearized at zero is subcritical, the
-    zero slice is returned outright.  Each iteration takes a Newton step
-    while the iterate is a supersolution (u - Au >= -tol everywhere) and
-    stops once both the residual and the step are inside the tolerance.
-    From a subsolution seed, and always when opts.record_residuals is set,
-    it takes plain Picard steps with the damping fallback and the
-    contraction-scaled stopping rule instead.  Iterates falling below a
-    quarter of the zero threshold collapse to the exact zero slice (the
-    operator fixes zero exactly).  An exhausted iteration budget raises
-    NumericalError carrying the last iterate.
+    Iterates on the kernel coefficients c from the image of the upper
+    envelope Delta_2(T) (or of opts.seed, on the grid nodes); residuals and
+    steps are measured on the grid values F c.  At and above tau_2, and
+    wherever the operator linearized at zero is subcritical, the zero slice
+    is returned outright.  Each iteration takes a Newton step while the
+    iterate is a supersolution (u - Au >= -tol everywhere) and stops once the
+    residual and the step are inside the tolerance, or the residual is
+    inside it and stops falling.  From a subsolution seed, and always when
+    opts.record_residuals is set, it takes plain Picard steps with the
+    damping fallback and the contraction-scaled stopping rule instead.
+    Iterates falling below a quarter of the zero threshold collapse to the
+    exact zero slice (the operator fixes zero exactly).  An exhausted
+    iteration budget raises NumericalError carrying the last iterate.
     """
     if t < 0:
         raise ConfigError("temperature must be nonnegative")
@@ -270,48 +265,49 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
         if grid is None:
             grid = build_grid(params)
         disc = Discretization(kernel, grid)
-    grid = disc.grid
-    x = grid.nodes
+    x = disc.grid.nodes
+    history = [] if opts.record_residuals else None
 
+    def result(c, it, res):
+        return GapSlice(t, x, disc.F @ c, it, res, history, c)
+
+    zero = np.zeros(disc.F.shape[1])
     tau2 = solve_tau(params.u2, params)
     if t >= tau2:
-        return GapSlice(t, x, np.zeros_like(x), 0, 0.0,
-                        [] if opts.record_residuals else None)
+        return result(zero, 0, 0.0)
 
     # Subcritical operator: the only nonnegative fixed point is zero, which
     # plain iteration from the upper envelope would approach at a crawl for T
     # just above the transition.  The zero slice is exact there.
     w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
     if disc.spectral_radius(w) <= 1.0:
-        return GapSlice(t, x, np.zeros_like(x), 0, 0.0,
-                        [] if opts.record_residuals else None)
+        return result(zero, 0, 0.0)
 
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
     zthr = opts.resolved_zero_threshold(d20)
 
-    if opts.seed is not None:
-        u = np.array(opts.seed, dtype=float)
-        if u.shape != x.shape:
-            raise ConfigError("seed shape does not match the energy grid")
-    else:
-        u = np.full_like(x, solve_simple_gap(t, params.u2, params))
+    seed = (np.full_like(x, solve_simple_gap(t, params.u2, params))
+            if opts.seed is None else np.array(opts.seed, dtype=float))
+    if seed.shape != x.shape:
+        raise ConfigError("seed shape does not match the energy grid")
+    c = disc.Gw.T @ _gap_terms(disc, disc.interp(seed), t)[0]
 
-    history = [] if opts.record_residuals else None
     res_prev = np.inf
     ratios = []
     at_floor = False
     no_decrease = 0
     damping = 1.0
     for it in range(1, opts.max_iter + 1):
-        phi, dphi_du, _ = _gap_terms(disc, u, t)
-        au = disc.kernel_apply(phi)
-        f = u - au
+        phi, dphi_du, _ = _gap_terms(disc, disc.Ft @ c, t)
+        g = disc.Gw.T @ phi
+        f = disc.F @ c - disc.F @ g
         res = float(np.max(np.abs(f)))
         if history is not None:
             history.append(res)
         # a residual inside tol that stops falling is at the roundoff floor,
-        # where ratios measure noise, not the contraction: keep q from before
+        # where ratios measure noise, not the contraction: keep q from before,
+        # and take no Newton step, which would only amplify that noise
         at_floor = at_floor or res_prev <= res <= tol
         if res_prev > 0 and np.isfinite(res_prev) and not at_floor:
             ratios.append(res / res_prev)
@@ -326,24 +322,25 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
         res_prev = res
 
         if history is None and float(np.min(f)) >= -tol:
-            step = np.linalg.solve(
-                np.eye(x.size) - disc.linearized_matrix(dphi_du), f)
-            u_next = u - step
-            done = res <= tol and float(np.max(np.abs(step))) <= tol
+            if at_floor and res <= tol:
+                return result(c, it, res)
+            step = np.linalg.solve(np.eye(c.size) - disc.core(dphi_du), c - g)
+            c_next = c - step
+            done = res <= tol and float(np.max(np.abs(disc.F @ step))) <= tol
         else:
-            u_next = au if damping == 1.0 else u - damping * f
+            c_next = g if damping == 1.0 else c - damping * (c - g)
             q = max(ratios) if ratios else 0.0
             done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= tol
 
-        if float(np.max(u_next)) < 0.25 * zthr:
-            return GapSlice(t, x, np.zeros_like(x), it, 0.0, history)
+        if float(np.max(disc.F @ c_next)) < 0.25 * zthr:
+            return result(zero, it, 0.0)
         if done:
-            return GapSlice(t, x, u_next, it, res, history)
-        u = u_next
+            return result(c_next, it, res)
+        c = c_next
 
     raise NumericalError(
         f"gap iteration budget exhausted at T={t:g} (residual {res_prev:g})",
-        best=u, residual=res_prev)
+        best=disc.F @ c, residual=res_prev)
 
 
 def sweep(t_grid, kernel: PotentialSpec, params: PhysicalParams,
@@ -476,25 +473,31 @@ def contraction_diagnostics(kernel: PotentialSpec, params: PhysicalParams,
     gamma_feasible = 1.0 - params.u2 * a > 0.0
     gamma = params.u2 * b / (1.0 - params.u2 * a) if gamma_feasible else np.inf
 
-    d2_tau = solve_simple_gap(tau, params.u2, params)
-    pref = d2_tau ** 2 / (2.0 * params.epsilon ** 2)
-    alpha = -np.inf
-    argmax = (tau, params.epsilon)
-    for t in np.linspace(tau, tc, 33):
-        d2 = solve_simple_gap(float(t), params.u2, params)
-        e = np.hypot(qn, d2)
-        term1 = disc.kernel_apply(np.tanh(e / (2.0 * t)) / e)
-        term2 = pref * disc.kernel_apply(np.tanh(qn / (2.0 * t)) / qn)
-        total = term1 + term2
-        i = int(np.argmax(total))
-        if total[i] > alpha:
-            alpha = float(total[i])
-            argmax = (float(t), float(grid.nodes[i]))
+    ts = np.linspace(tau, tc, 33)
+    total = _alpha_coefs(disc, params, tau, ts) @ disc.F.T
+    j, i = np.unravel_index(np.argmax(total), total.shape)
+    alpha, argmax = float(total[j, i]), (float(ts[j]), float(grid.nodes[i]))
 
     return ContractionReport(a=a, b=float(b), gamma=float(gamma), alpha=alpha,
                              tau=tau, gamma_feasible=gamma_feasible,
                              alpha_feasible=alpha < 1.0, tau0=t0, tau3=t3,
                              tc=tc, alpha_argmax=argmax)
+
+
+def _alpha_coefs(disc: Discretization, params: PhysicalParams, tau: float,
+                 ts) -> np.ndarray:
+    """Rows Gw^T [f_T(E) + Delta_2(tau)^2/(2 eps^2) f_T(xi)], one per T in ts.
+
+    f_T(E) = tanh(E/2T)/E with E = sqrt(xi^2 + Delta_2(T)^2); the alpha
+    integrand at (T, x) is F(x) times the row for T.
+    """
+    qn = disc.qn
+    pref = solve_simple_gap(tau, params.u2, params) ** 2 / (2.0 * params.epsilon ** 2)
+    rows = []
+    for t in ts:
+        e = np.hypot(qn, solve_simple_gap(float(t), params.u2, params))
+        rows.append(np.tanh(e / (2.0 * t)) / e + pref * np.tanh(qn / (2.0 * t)) / qn)
+    return np.array(rows) @ disc.Gw
 
 
 def alpha_at(kernel: PotentialSpec, params: PhysicalParams, tau: float,
@@ -503,12 +506,5 @@ def alpha_at(kernel: PotentialSpec, params: PhysicalParams, tau: float,
     if grid is None:
         grid = build_grid(params)
     disc = Discretization(kernel, grid)
-    qn, qw = disc.qn, disc.qw
-    d2_tau = solve_simple_gap(tau, params.u2, params)
-    d2 = solve_simple_gap(t, params.u2, params)
-    e = np.hypot(qn, d2)
-    u_row = kernel._eval(np.full_like(qn, x), qn)
-    term1 = float((qw * u_row) @ (np.tanh(e / (2.0 * t)) / e))
-    term2 = (d2_tau ** 2 / (2.0 * params.epsilon ** 2)
-             * float((qw * u_row) @ (np.tanh(qn / (2.0 * t)) / qn)))
-    return term1 + term2
+    f_row = kernel.factors(np.array([x]), disc.qn)[0][0]
+    return float(f_row @ _alpha_coefs(disc, params, tau, [t])[0])

@@ -1,10 +1,9 @@
-"""Monotone piecewise-cubic (PCHIP) interpolation with a fast prepared path.
+"""Monotone piecewise-cubic (PCHIP) interpolation and the hat basis.
 
 Fritsch-Carlson slope limiting keeps the interpolant free of overshoot, so
 nonnegative data stay nonnegative and sandwich bounds survive interpolation.
-The solver evaluates the same query points every iteration, so the interval
-search is done once (``prepare_queries``) and each iteration only rebuilds
-slopes and runs a Horner pass.
+The interval search for a set of queries (``PreparedQueries``) is kept apart
+from the slope build and the Horner pass (``pchip_eval_prepared``).
 """
 from __future__ import annotations
 

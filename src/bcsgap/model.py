@@ -6,7 +6,7 @@ energies in units of the Debye energy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ def validate_params(raw: PhysicalParams) -> PhysicalParams:
 
     The first violated condition is reported by name.
     """
+    if not np.all(np.isfinite(astuple(raw))):
+        raise ConfigError("physical parameters must be finite numbers")
     if not raw.epsilon > 0:
         raise ConfigError("cutoff must be positive")
     if not raw.epsilon < raw.hbar_omega_d:

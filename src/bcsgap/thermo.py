@@ -279,6 +279,7 @@ def build_thermo_curve(surface, kernel: PotentialSpec, params: PhysicalParams,
     ps = np.empty(n)
     dps = np.empty(n)
     cvn = np.empty(n)
+    disc = Discretization(kernel, EnergyGrid(surface.slices[0].x))
     for i, sl in enumerate(surface.slices):
         t = float(ts[i])
         om_n[i] = omega_normal(t, params, dos, tol)
@@ -287,7 +288,7 @@ def build_thermo_curve(surface, kernel: PotentialSpec, params: PhysicalParams,
         if t == 0.0 or sl.sup() == 0.0:
             dps[i] = 0.0
         else:
-            du = du_dT_at_fixed_point(sl, kernel, params)
+            du = du_dT_at_fixed_point(sl, kernel, params, disc)
             dps[i] = psi_derivative(t, sl, du, params)
 
     total = om_n + ps

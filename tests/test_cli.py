@@ -116,6 +116,20 @@ def test_cli_rejects_bad_tolerances(tmp_path, line, args):
     assert "tol" in cp.stderr
 
 
+@pytest.mark.parametrize("line, args", [
+    ("mu = inf", ("thermo", "--t-points", "9")),
+    ("u2 = inf", ("tc",)),
+    ("n0 = inf", ("thermo", "--t-points", "9")),
+])
+def test_cli_rejects_non_finite_physics(tmp_path, line, args):
+    # each once loaded and then failed as a numerical error (exit 3)
+    cfg = write(tmp_path / "c.cfg", FAST_CFG + line + "\n")
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), *args, timeout=60)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert "finite" in cp.stderr
+
+
 def test_cli_tol_override_reaches_sidecar(tmp_path):
     cfg = write(tmp_path / "c.cfg", FAST_CFG)
     cp = run_cli("--config", cfg, "--out", str(tmp_path), "--quiet",

@@ -3,9 +3,10 @@ import pytest
 
 from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
                     NumericalError, PhysicalParams, SeparablePotential,
-                    SolverOpts, TabulatedPotential, apply_A, apply_dA_dT,
-                    build_grid, contraction_diagnostics, du_dT_at_fixed_point,
-                    find_Tc, gap_rhs, integrate, solve_at_T, solve_simple_gap,
+                    SolverOpts, SqrtBandDos, TabulatedPotential, apply_A,
+                    apply_dA_dT, build_grid, contraction_diagnostics,
+                    cv_ratio, du_dT_at_fixed_point, extract_v, find_Tc,
+                    gap_rhs, integrate, solve_at_T, solve_simple_gap,
                     solve_tau, sweep, validate_params)
 from bcsgap.gap_solver import Discretization, alpha_at
 from bcsgap.interpolate import MonotoneCubic
@@ -167,6 +168,20 @@ def _dense_kernel(kernel, x, xi, bilinear):
     return bilinear(kernel.nodes, kernel.values, x[:, None], xi[None, :])
 
 
+def _dense_factors(kernel, x, xi):
+    """(F, G) with U(x_i, xi_j) = (F G^T)_ij, written out per kernel type."""
+    if isinstance(kernel, ConstantPotential):
+        return np.full((x.size, 1), kernel.u0), np.ones((xi.size, 1))
+    if isinstance(kernel, SeparablePotential):
+        return (np.interp(x, kernel.f_nodes, kernel.f_values)[:, None],
+                np.interp(xi, kernel.f_nodes, kernel.f_values)[:, None])
+
+    def hat(q):
+        return np.column_stack([np.interp(q, kernel.nodes, e)
+                                for e in np.eye(kernel.nodes.size)])
+    return hat(x) @ kernel.values, hat(xi)
+
+
 def _table(nodes):
     rng = np.random.RandomState(5)
     return TabulatedPotential(nodes, rng.uniform(0.26, 0.34, (nodes.size, nodes.size)), P)
@@ -179,12 +194,12 @@ def _table(nodes):
     (_table(np.linspace(P.epsilon, P.hbar_omega_d, 40)), build_grid(P, 17)),
 ], ids=["constant", "separable", "table5", "table40-grid17"])
 def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
-    # the rank-r products against the dense kernel-times-weights matrix and
-    # a hat-interpolation matrix built column by column with np.interp
+    # the rank-r product against the dense kernel-times-weights matrix, and
+    # the Perron root against factors written out per kernel type, with the
+    # left factor interpolated column by column by MonotoneCubic
     disc = Discretization(kernel, grid)
     x, qn, qw = grid.nodes, disc.qn, disc.qw
     w_dense = _dense_kernel(kernel, x, qn, bilinear) * qw[None, :]
-    hat = np.column_stack([np.interp(qn, x, e) for e in np.eye(x.size)])
     phi = 0.05 + 0.01 * np.sin(3.0 * qn)
     weight = np.tanh(qn / (2.0 * 0.02)) / qn
 
@@ -192,9 +207,9 @@ def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
         return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     assert close(disc.kernel_apply(phi), w_dense @ phi)
-    dense = (w_dense * weight[None, :]) @ hat
-    assert close(disc.linearized_matrix(weight), dense)
-    rho = np.max(np.abs(np.linalg.eigvals(dense)))
+    f, g = _dense_factors(kernel, x, qn)
+    f_q = np.column_stack([MonotoneCubic(x, col)(qn) for col in f.T])
+    rho = np.max(np.abs(np.linalg.eigvals((g * (qw * weight)[:, None]).T @ f_q)))
     assert abs(disc.spectral_radius(weight) - rho) <= 1e-12 * rho
 
 
@@ -223,6 +238,95 @@ def test_picard_stops_at_the_roundoff_floor():
     picard = solve_at_T(t, K, P, SolverOpts(record_residuals=True, tol=tol,
                                             max_iter=60_000), grid=grid)
     assert np.max(np.abs(picard.values - newton.values)) <= tol
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+@pytest.mark.parametrize("kernel", [K, separable_kernel(P), tabulated_kernel(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_newton_stops_at_the_roundoff_floor(kernel, n):
+    # near T_c the Jacobian is nearly singular, so once the residual sits at
+    # its roundoff floor the Newton step is amplified noise that need not
+    # fall below tol; the solve must stop there instead of running on
+    grid = build_grid(P, n)
+    tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=grid)
+    tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
+    opts = SolverOpts(tol=tol, max_iter=100)
+    for k in range(1, 21):
+        sl = solve_at_T(tc * (1.0 - 2.0 ** -k), kernel, P, opts, grid=grid)
+        assert sl.final_residual <= tol
+
+
+def roadmap_separable_kernel(params):
+    fn = np.linspace(params.epsilon, params.hbar_omega_d, 41)
+    return SeparablePotential(fn, np.sqrt(0.3 + 0.03 * np.sin(5.0 * fn)), params)
+
+
+def _continuum_tc(kernel):
+    """T at which the continuum operator linearized at zero has Perron root 1.
+
+    Its r-by-r core integral G(xi)^T F(xi) tanh(xi/2T)/xi d xi is taken with
+    scipy's adaptive quadrature, split at the kinks of the factors (the
+    kernel's nodes, which span the shell here).
+    """
+    breaks = (kernel.f_nodes if isinstance(kernel, SeparablePotential)
+              else kernel.nodes)
+    si = pytest.importorskip("scipy.integrate")
+    so = pytest.importorskip("scipy.optimize")
+
+    def integrand(xi, t):
+        f, g = _dense_factors(kernel, np.array([xi]), np.array([xi]))
+        return np.outer(g[0], f[0]) * np.tanh(xi / (2.0 * t)) / xi
+
+    def excess(t):
+        core = si.quad_vec(integrand, breaks[0], breaks[-1], args=(t,),
+                           points=breaks[1:-1], epsabs=0.0, epsrel=1e-12)[0]
+        return np.max(np.abs(np.linalg.eigvals(core))) - 1.0
+
+    return so.brentq(excess, solve_tau(P.u1, P), solve_tau(P.u2, P),
+                     xtol=1e-15, rtol=1e-14)
+
+
+THRESHOLD_KERNELS = pytest.mark.parametrize(
+    "kernel", [roadmap_separable_kernel(P), tabulated_kernel(P)],
+    ids=["separable", "tabulated"])
+
+
+@THRESHOLD_KERNELS
+def test_find_tc_is_the_threshold_of_the_iterated_operator(kernel):
+    # T_c comes from the same operator that is iterated, so it converges to
+    # the continuum threshold with the interpolation order, with no offset
+    ref = _continuum_tc(kernel)
+    for n in (129, 257, 513):
+        tc = find_Tc(kernel, P, OPTS, grid=build_grid(P, n))
+        assert abs(tc - ref) <= 1e-6 * ref
+
+
+@THRESHOLD_KERNELS
+def test_jump_ratio_is_grid_independent(kernel):
+    dos = SqrtBandDos(P.n0, P)
+    ratios = []
+    for n in (129, 257, 513):
+        grid = build_grid(P, n)
+        tc = find_Tc(kernel, P, OPTS, grid=grid)
+        ratios.append(cv_ratio(extract_v(kernel, P, OPTS, grid=grid, tc=tc),
+                               P, dos, tc))
+    assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
+
+
+@THRESHOLD_KERNELS
+def test_du_dT_matches_differences_of_converged_solves(kernel):
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    opts = SolverOpts(tol=1e-13 * solve_simple_gap(0.0, P.u2, P))
+    for frac in (0.5, 0.95, 1.0 - 2.0 ** -10):
+        t = frac * tc
+        du = du_dT_at_fixed_point(solve_at_T(t, kernel, P, opts, disc=disc),
+                                  kernel, P, disc)
+        h = 1e-3 * min(t, tc - t)
+        up = solve_at_T(t + h, kernel, P, opts, disc=disc)
+        dn = solve_at_T(t - h, kernel, P, opts, disc=disc)
+        fd = (up.values - dn.values) / (2.0 * h)
+        assert np.max(np.abs(fd - du)) <= 1e-5 * np.max(np.abs(du))
 
 
 def test_iteration_budget_error_carries_state():
