@@ -20,8 +20,8 @@ from . import __version__
 from .config import RunConfig, load_config, tolerance
 from .critical_field import build_hc_curve, linear_law_check
 from .errors import ConfigError, NumericalError
-from .gap_solver import (SolverOpts, build_grid, contraction_diagnostics,
-                         find_Tc, solve_at_T, sweep)
+from .gap_solver import (Discretization, SolverOpts, build_grid,
+                         contraction_diagnostics, find_Tc, solve_at_T, sweep)
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
@@ -71,6 +71,11 @@ def _opts(cfg: RunConfig) -> SolverOpts:
     return SolverOpts(tol=cfg.solver_tol, t_tol=cfg.t_tol)
 
 
+def _disc(cfg: RunConfig) -> Discretization:
+    """The request's one discretization of the configured kernel."""
+    return Discretization(cfg.potential, build_grid(cfg.params, cfg.energy_points))
+
+
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -99,8 +104,7 @@ def cmd_simple_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    sl = solve_at_T(args.t, cfg.potential, cfg.params, _opts(cfg), grid=grid)
+    sl = solve_at_T(args.t, _disc(cfg), _opts(cfg))
     path = _out_path(args, "gap.csv")
     _write_csv(path, ["x", "u"], [sl.x, sl.values])
     _write_kv(path + ".meta", _meta(cfg, {
@@ -110,13 +114,13 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
+    disc = _disc(cfg)
     tau2 = solve_tau(cfg.params.u2, cfg.params)
     ts = _t_grid(args, cfg, tau2)
-    surface = sweep(ts, cfg.potential, cfg.params, _opts(cfg), grid=grid)
-    n = grid.count
+    surface = sweep(ts, disc, _opts(cfg))
+    n = disc.grid.count
     t_col = np.repeat(ts, n)
-    x_col = np.tile(grid.nodes, ts.size)
+    x_col = np.tile(disc.grid.nodes, ts.size)
     u_col = np.concatenate([sl.values for sl in surface.slices])
     r_col = np.repeat([sl.final_residual for sl in surface.slices], n)
     i_col = np.repeat([float(sl.iterations) for sl in surface.slices], n)
@@ -130,16 +134,14 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 def cmd_tc(args, cfg: RunConfig) -> int:
     grid = build_grid(cfg.params, cfg.energy_points)
-    tc = find_Tc(cfg.potential, cfg.params, _opts(cfg), grid=grid)
+    tc = find_Tc(cfg.potential, cfg.params, _opts(cfg), grid)
     _write_kv(_out_path(args, "tc.meta"), _meta(cfg, {"Tc": tc}))
     _say(args, _fmt(tc))
     return 0
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    rep = contraction_diagnostics(cfg.potential, cfg.params, args.tau,
-                                  _opts(cfg), grid=grid)
+    rep = contraction_diagnostics(_disc(cfg), args.tau, _opts(cfg))
     path = _out_path(args, "diagnose.txt")
     _write_kv(path, _meta(cfg, {
         "tau": rep.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
@@ -154,12 +156,11 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
+    disc = _disc(cfg)
     tau2 = solve_tau(cfg.params.u2, cfg.params)
     ts = _t_grid(args, cfg, tau2)
-    surface = sweep(ts, cfg.potential, cfg.params, _opts(cfg), grid=grid)
-    curve = build_thermo_curve(surface, cfg.potential, cfg.params, cfg.dos,
-                               cfg.quad_tol)
+    surface = sweep(ts, disc, _opts(cfg))
+    curve = build_thermo_curve(surface, disc, cfg.dos, cfg.quad_tol)
     path = _out_path(args, "thermo.csv")
     _write_csv(path, ["T", "omega_n", "psi", "dpsi_dT", "cv_normal", "cv_super"],
                [curve.t, curve.omega_n, curve.psi, curve.dpsi_dT,
@@ -170,10 +171,9 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 
 
 def cmd_ratio(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    opts = _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, grid=grid)
-    v = extract_v(cfg.potential, cfg.params, opts, grid=grid, tc=tc)
+    disc, opts = _disc(cfg), _opts(cfg)
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    v = extract_v(disc, opts, tc=tc)
     dcv = delta_cv(v, cfg.params, tc)
     cvn = cv_normal(tc, cfg.params, cfg.dos, cfg.quad_tol)
     ratio = cv_ratio(v, cfg.params, cfg.dos, tc)
@@ -188,10 +188,9 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 
 
 def cmd_vfun(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    opts = _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, grid=grid)
-    v = extract_v(cfg.potential, cfg.params, opts, grid=grid, tc=tc)
+    disc, opts = _disc(cfg), _opts(cfg)
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    v = extract_v(disc, opts, tc=tc)
     path = _out_path(args, "vfun.csv")
     _write_csv(path, ["x", "v", "fit_residual"], [v.x, v.values, v.fit_residual])
     _write_kv(path + ".meta", _meta(cfg, {"Tc": tc}))
@@ -200,17 +199,16 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_hc(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    opts = _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, grid=grid)
-    v = extract_v(cfg.potential, cfg.params, opts, grid=grid, tc=tc)
+    disc, opts = _disc(cfg), _opts(cfg)
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    v = extract_v(disc, opts, tc=tc)
     # user grid plus a dyadic refinement toward T_c for the linear-law fit
     base = _t_grid(args, cfg, tc)
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
     ts = np.unique(np.concatenate([base, ladder]))
     ts = ts[(ts >= 0.0) & (ts <= tc)]
-    surface = sweep(ts, cfg.potential, cfg.params, opts, grid=grid, tc=tc)
-    curve = build_hc_curve(surface, v, cfg.potential, cfg.params, opts)
+    surface = sweep(ts, disc, opts, tc=tc)
+    curve = build_hc_curve(surface, v, disc, opts)
     law = linear_law_check(curve, v, cfg.params)
     path = _out_path(args, "hc.csv")
     _write_csv(path, ["T", "hc", "dhc_dT"], [curve.t, curve.hc, curve.dhc_dT])

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gap_solver import (Discretization, EnergyGrid, GapSlice, SolverOpts,
+from .gap_solver import (Discretization, GapSlice, SolverOpts,
                          du_dT_at_fixed_point, solve_at_T)
-from .model import PhysicalParams, PotentialSpec
+from .model import PhysicalParams
 from .thermo import VFunction, _v_squared_g_deta, psi, psi_derivative
 
 
@@ -40,9 +40,9 @@ def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
     return -math.sqrt(val)
 
 
-def hc_zero(u0_slice: GapSlice, params: PhysicalParams) -> float:
+def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
     """Zero-temperature field from the converged T = 0 slice."""
-    return hc(0.0, psi(0.0, u0_slice, params))
+    return hc(0.0, psi(0.0, u0_slice, disc))
 
 
 @dataclass
@@ -66,18 +66,16 @@ class LinearLawReport:
 _NEAR_TC = 2.0 ** -10
 
 
-def build_hc_curve(surface, v: VFunction, kernel: PotentialSpec,
-                   params: PhysicalParams,
+def build_hc_curve(surface, v: VFunction, disc: Discretization,
                    opts: SolverOpts | None = None) -> HcCurve:
     """Field and slope over a solved surface, with closed-form endpoints."""
     opts = opts or SolverOpts()
     tc = surface.tc
     if tc is None:
         raise NumericalError("surface carries no transition temperature")
-    slope_tc = slope_at_tc(v, params, tc)
+    slope_tc = slope_at_tc(v, disc.kernel.params, tc)
 
     ts = surface.t_grid
-    disc = Discretization(kernel, EnergyGrid(surface.slices[0].x))
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
     for i, sl in enumerate(surface.slices):
@@ -87,20 +85,20 @@ def build_hc_curve(surface, v: VFunction, kernel: PotentialSpec,
             h[i] = rel * tc * abs(slope_tc)
             dh[i] = slope_tc if t <= tc else 0.0
             continue
-        p = psi(t, sl, params)
+        p = psi(t, sl, disc)
         h[i] = hc(t, p, atol=0.0 if p <= 0 else p)
         if t == 0.0:
             dh[i] = 0.0
         else:
-            du = du_dT_at_fixed_point(sl, kernel, params, disc)
-            dp = psi_derivative(t, sl, du, params)
+            du = du_dT_at_fixed_point(sl, disc)
+            dp = psi_derivative(t, sl, du, disc)
             dh[i] = hc_slope(t, p, dp)
 
     if ts[0] == 0.0:
         slice0 = surface.slices[0]
     else:
-        slice0 = solve_at_T(0.0, kernel, params, opts, disc=disc)
-    h0 = hc_zero(slice0, params)
+        slice0 = solve_at_T(0.0, disc, opts)
+    h0 = hc_zero(slice0, disc)
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 

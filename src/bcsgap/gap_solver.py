@@ -36,8 +36,7 @@ from .errors import ConfigError, NumericalError
 from .interpolate import MonotoneCubic
 from .model import PhysicalParams, PotentialSpec
 from .quadrature import composite_gauss
-from .simple_gap import (delta_at_zero, solve_simple_gap, solve_tau, solve_tau0,
-                         tau3)
+from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0
 from .special import sech2
 
 
@@ -94,7 +93,6 @@ class GapSurface:
     t_grid: np.ndarray
     slices: list
     tc: float | None
-    metadata: dict
 
 
 @dataclass
@@ -118,14 +116,18 @@ class ContractionReport:
     alpha_argmax: tuple  # (T, x)
 
 
+# Picard reference: after this many steps without a falling residual, damp
+# the steps by this factor
+_DAMPING_PATIENCE = 5
+_DAMPING = 0.5
+
+
 @dataclass
 class SolverOpts:
     tol: float | None = None
     max_iter: int = 400_000
     zero_threshold: float | None = None
     t_tol: float | None = None
-    damping: float = 0.5
-    damping_patience: int = 5
     seed: np.ndarray | None = None
     record_residuals: bool = False
     confirm_tc: bool = True
@@ -143,6 +145,10 @@ class SolverOpts:
 
 class Discretization:
     """Quadrature rule and kernel factors for one (kernel, grid) pair.
+
+    This is the problem object of a request: the solver, the thermodynamics
+    and the critical field all take it, and read the physical parameters
+    from kernel.params.
 
     The kernel enters only through its exact factorization
     U(x_i, xi_j) = (F G^T)_ij (see PotentialSpec.factors).  F is kept at the
@@ -196,31 +202,23 @@ def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
             -u / (2.0 * t * t) * s2)
 
 
-def apply_A(u: GapSlice, kernel: PotentialSpec, params: PhysicalParams,
-            disc: Discretization | None = None) -> GapSlice:
+def apply_A(u: GapSlice, disc: Discretization) -> GapSlice:
     """One application of the gap operator to a slice."""
-    if disc is None:
-        disc = Discretization(kernel, EnergyGrid(u.x))
     out = disc.kernel_apply(_gap_terms(disc, disc.interp(u.values), u.T)[0])
     return GapSlice(u.T, u.x, out, u.iterations, u.final_residual)
 
 
-def apply_dA_dT(u: GapSlice, du: np.ndarray, kernel: PotentialSpec,
-                params: PhysicalParams, disc: Discretization | None = None) -> np.ndarray:
+def apply_dA_dT(u: GapSlice, du: np.ndarray, disc: Discretization) -> np.ndarray:
     """Analytic temperature derivative of the operator at (u, du); T > 0."""
     if u.T <= 0.0:
         raise ValueError("temperature derivative of the operator needs T > 0; "
                          "the T = 0 limit is identically zero")
-    if disc is None:
-        disc = Discretization(kernel, EnergyGrid(u.x))
     _, dphi_du, dphi_dT = _gap_terms(disc, disc.interp(u.values), u.T)
     return disc.kernel_apply(dphi_du * disc.interp(np.asarray(du, dtype=float))
                              + dphi_dT)
 
 
-def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
-                         params: PhysicalParams,
-                         disc: Discretization | None = None) -> np.ndarray:
+def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
     """du/dT at a converged slice from solve_at_T, on the grid nodes.
 
     Differentiating c = Gw^T phi_T(Ft c) in T gives
@@ -231,17 +229,13 @@ def du_dT_at_fixed_point(u: GapSlice, kernel: PotentialSpec,
         return np.zeros_like(u.values)
     if u.coef is None:
         raise ValueError("du/dT needs the kernel coefficients of a solved slice")
-    if disc is None:
-        disc = Discretization(kernel, EnergyGrid(u.x))
     _, dphi_du, dphi_dT = _gap_terms(disc, disc.Ft @ u.coef, u.T)
     return disc.F @ np.linalg.solve(np.eye(u.coef.size) - disc.core(dphi_du),
                                     disc.Gw.T @ dphi_dT)
 
 
-def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
-               opts: SolverOpts | None = None,
-               grid: EnergyGrid | None = None,
-               disc: Discretization | None = None) -> GapSlice:
+def solve_at_T(t: float, disc: Discretization,
+               opts: SolverOpts | None = None) -> GapSlice:
     """Fixed point of the gap operator at one temperature.
 
     Iterates on the kernel coefficients c from the image of the upper
@@ -261,10 +255,7 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
     if t < 0:
         raise ConfigError("temperature must be nonnegative")
     opts = opts or SolverOpts()
-    if disc is None:
-        if grid is None:
-            grid = build_grid(params)
-        disc = Discretization(kernel, grid)
+    params = disc.kernel.params
     x = disc.grid.nodes
     history = [] if opts.record_residuals else None
 
@@ -315,8 +306,8 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
                 ratios.pop(0)
         if res >= res_prev:
             no_decrease += 1
-            if no_decrease >= opts.damping_patience:
-                damping = opts.damping
+            if no_decrease >= _DAMPING_PATIENCE:
+                damping = _DAMPING
         else:
             no_decrease = 0
         res_prev = res
@@ -343,38 +334,23 @@ def solve_at_T(t: float, kernel: PotentialSpec, params: PhysicalParams,
         best=disc.F @ c, residual=res_prev)
 
 
-def sweep(t_grid, kernel: PotentialSpec, params: PhysicalParams,
-          opts: SolverOpts | None = None, grid: EnergyGrid | None = None,
+def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
           tc: float | None = None, attach_tc: bool = True) -> GapSurface:
     """Independent per-temperature solves assembled in grid order."""
     opts = opts or SolverOpts()
+    params = disc.kernel.params
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ConfigError("temperature grid must be strictly ascending")
     tau2 = solve_tau(params.u2, params)
     if ts[0] < 0 or ts[-1] > tau2 * (1 + 1e-12):
         raise ConfigError("temperature grid must lie within [0, tau_2]")
-    if grid is None:
-        grid = build_grid(params)
-    disc = Discretization(kernel, grid)
 
-    slices = [solve_at_T(float(t), kernel, params, opts, disc=disc) for t in ts]
+    slices = [solve_at_T(float(t), disc, opts) for t in ts]
 
     if attach_tc and tc is None:
-        tc = find_Tc(kernel, params, opts, grid=grid)
-    d20 = delta_at_zero(params.u2, params)
-    meta = {
-        "energy_points": grid.count,
-        "t_points": ts.size,
-        "tol": opts.resolved_tol(d20),
-        "zero_threshold": opts.resolved_zero_threshold(d20),
-        "tau1": solve_tau(params.u1, params),
-        "tau2": tau2,
-        "tau0": solve_tau0(params),
-        "tau3": tau3(params),
-        "tc": tc,
-    }
-    return GapSurface(ts, slices, tc, meta)
+        tc = find_Tc(disc.kernel, params, opts, disc.grid)
+    return GapSurface(ts, slices, tc)
 
 
 def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
@@ -417,8 +393,8 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
         zthr = opts.resolved_zero_threshold(d20)
         m = min(0.02 * tc, 0.45 * (tc - tau1), 0.45 * (tau2 - tc))
         if m > 10 * t_tol:
-            below = solve_at_T(tc - m, kernel, params, opts, disc=disc)
-            above = solve_at_T(tc + m, kernel, params, opts, disc=disc)
+            below = solve_at_T(tc - m, disc, opts)
+            above = solve_at_T(tc + m, disc, opts)
             if not (below.sup() >= zthr > above.sup()):
                 raise NumericalError(
                     "T_c confirmation failed: solves straddling the detected "
@@ -426,9 +402,8 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
     return tc
 
 
-def contraction_diagnostics(kernel: PotentialSpec, params: PhysicalParams,
-                            tau: float, opts: SolverOpts | None = None,
-                            grid: EnergyGrid | None = None,
+def contraction_diagnostics(disc: Discretization, tau: float,
+                            opts: SolverOpts | None = None,
                             tc: float | None = None) -> ContractionReport:
     """Certified iteration constants on the two proven regimes.
 
@@ -449,11 +424,9 @@ def contraction_diagnostics(kernel: PotentialSpec, params: PhysicalParams,
     abstract alone does not state it.
     """
     opts = opts or SolverOpts()
-    if grid is None:
-        grid = build_grid(params)
-    disc = Discretization(kernel, grid)
+    params = disc.kernel.params
     if tc is None:
-        tc = find_Tc(kernel, params, opts, grid=grid)
+        tc = find_Tc(disc.kernel, params, opts, disc.grid)
     if not 0.0 < tau < tc:
         raise ConfigError("tau must lie strictly between 0 and T_c")
 
@@ -474,9 +447,9 @@ def contraction_diagnostics(kernel: PotentialSpec, params: PhysicalParams,
     gamma = params.u2 * b / (1.0 - params.u2 * a) if gamma_feasible else np.inf
 
     ts = np.linspace(tau, tc, 33)
-    total = _alpha_coefs(disc, params, tau, ts) @ disc.F.T
+    total = _alpha_coefs(disc, tau, ts) @ disc.F.T
     j, i = np.unravel_index(np.argmax(total), total.shape)
-    alpha, argmax = float(total[j, i]), (float(ts[j]), float(grid.nodes[i]))
+    alpha, argmax = float(total[j, i]), (float(ts[j]), float(disc.grid.nodes[i]))
 
     return ContractionReport(a=a, b=float(b), gamma=float(gamma), alpha=alpha,
                              tau=tau, gamma_feasible=gamma_feasible,
@@ -484,27 +457,16 @@ def contraction_diagnostics(kernel: PotentialSpec, params: PhysicalParams,
                              tc=tc, alpha_argmax=argmax)
 
 
-def _alpha_coefs(disc: Discretization, params: PhysicalParams, tau: float,
-                 ts) -> np.ndarray:
+def _alpha_coefs(disc: Discretization, tau: float, ts) -> np.ndarray:
     """Rows Gw^T [f_T(E) + Delta_2(tau)^2/(2 eps^2) f_T(xi)], one per T in ts.
 
     f_T(E) = tanh(E/2T)/E with E = sqrt(xi^2 + Delta_2(T)^2); the alpha
     integrand at (T, x) is F(x) times the row for T.
     """
-    qn = disc.qn
+    qn, params = disc.qn, disc.kernel.params
     pref = solve_simple_gap(tau, params.u2, params) ** 2 / (2.0 * params.epsilon ** 2)
     rows = []
     for t in ts:
         e = np.hypot(qn, solve_simple_gap(float(t), params.u2, params))
         rows.append(np.tanh(e / (2.0 * t)) / e + pref * np.tanh(qn / (2.0 * t)) / qn)
     return np.array(rows) @ disc.Gw
-
-
-def alpha_at(kernel: PotentialSpec, params: PhysicalParams, tau: float,
-             t: float, x: float, grid: EnergyGrid | None = None) -> float:
-    """Recompute the contraction bound integrand at one (T, x) point."""
-    if grid is None:
-        grid = build_grid(params)
-    disc = Discretization(kernel, grid)
-    f_row = kernel.factors(np.array([x]), disc.qn)[0][0]
-    return float(f_row @ _alpha_coefs(disc, params, tau, [t])[0])

@@ -1,7 +1,8 @@
 """Thermodynamic potentials, specific heats and the jump-ratio machinery.
 
 The superconducting potential Psi is integrated with the same grid-aligned
-panel rule the solver uses, with all differences of nearly equal quantities
+panel rule the solver uses, over the slice the solver produced (u = Ft c at
+the quadrature nodes), with all differences of nearly equal quantities
 (E - xi, the log of the Fermi-factor ratio) rewritten in cancellation-free
 form; near the transition Psi shrinks like (T_c - T)^2 and would otherwise
 drown in roundoff.
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gap_solver import (Discretization, EnergyGrid, GapSlice, SolverOpts,
-                         build_grid, du_dT_at_fixed_point, find_Tc, solve_at_T)
+from .gap_solver import (Discretization, GapSlice, SolverOpts,
+                         du_dT_at_fixed_point, find_Tc, solve_at_T)
 from .interpolate import MonotoneCubic
-from .model import DosModel, PhysicalParams, PotentialSpec, eval_dos
+from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss, integrate, integrate_tail
 from .special import fermi, sech2
 
@@ -51,10 +52,14 @@ def g_weight(eta):
     return float(out[0]) if scalar else out
 
 
-def psi(t: float, u: GapSlice, params: PhysicalParams) -> float:
-    """Condensation part of the thermodynamic potential at one temperature."""
-    qn, qw = composite_gauss(u.x)
-    uu = MonotoneCubic(u.x, u.values)(qn)
+def psi(t: float, u: GapSlice, disc: Discretization) -> float:
+    """Condensation part of the thermodynamic potential at one temperature.
+
+    u is taken at the quadrature nodes as Ft @ u.coef, the interpolant the
+    solver iterated.
+    """
+    qn, qw = disc.qn, disc.qw
+    uu = disc.Ft @ u.coef
     e = np.hypot(qn, uu)
     u2 = uu * uu
     delta = u2 / (e + qn)  # E - xi without cancellation
@@ -66,17 +71,20 @@ def psi(t: float, u: GapSlice, params: PhysicalParams) -> float:
         # ln(1+e^(-E/T)) - ln(1+e^(-xi/T)), stable for E close to xi
         dlog = np.log1p(b * np.expm1(-delta / t) / (1.0 + b))
         integrand = -2.0 * delta + u2 / e * th - 4.0 * t * dlog
-    return params.n0 * float(qw @ integrand)
+    return disc.kernel.params.n0 * float(qw @ integrand)
 
 
 def psi_derivative(t: float, u: GapSlice, du: np.ndarray,
-                   params: PhysicalParams) -> float:
-    """Analytic temperature derivative of psi along the solution; T > 0."""
+                   disc: Discretization) -> float:
+    """Analytic temperature derivative of psi along the solution; T > 0.
+
+    u enters as Ft @ u.coef, du as its grid values through disc.interp.
+    """
     if t <= 0.0:
         raise ValueError("psi_derivative needs T > 0; the T = 0 value is 0")
-    qn, qw = composite_gauss(u.x)
-    uu = MonotoneCubic(u.x, u.values)(qn)
-    dd = MonotoneCubic(u.x, du)(qn)
+    qn, qw = disc.qn, disc.qw
+    uu = disc.Ft @ u.coef
+    dd = disc.interp(du)
     e2 = qn * qn + uu * uu
     e = np.sqrt(e2)
     th = np.tanh(e / (2.0 * t))
@@ -93,7 +101,7 @@ def psi_derivative(t: float, u: GapSlice, du: np.ndarray,
     k3 = 4.0 * qn / t * fermi(qn / t)
     k4 = 4.0 * fermi(e / t) * (uu * dd / e - e / t)
 
-    return params.n0 * float(qw @ (term1 + term2 + k1 + k2 + k3 + k4))
+    return disc.kernel.params.n0 * float(qw @ (term1 + term2 + k1 + k2 + k3 + k4))
 
 
 def omega_normal(t: float, params: PhysicalParams, dos: DosModel,
@@ -143,8 +151,7 @@ class VFunction:
     fit_residual: np.ndarray
 
 
-def extract_v(kernel: PotentialSpec, params: PhysicalParams,
-              opts: SolverOpts | None = None, grid: EnergyGrid | None = None,
+def extract_v(disc: Discretization, opts: SolverOpts | None = None,
               tc: float | None = None, ks=range(3, 11)) -> VFunction:
     """Near-transition limit v(x) of u^2/(T_c - T) from a dyadic ladder.
 
@@ -154,17 +161,14 @@ def extract_v(kernel: PotentialSpec, params: PhysicalParams,
     intercept with a residual that also covers ladder stability.
     """
     opts = opts or SolverOpts()
-    if grid is None:
-        grid = build_grid(params)
-    disc = Discretization(kernel, grid)
     if tc is None:
-        tc = find_Tc(kernel, params, opts, grid=grid)
+        tc = find_Tc(disc.kernel, disc.kernel.params, opts, disc.grid)
 
     ks = list(ks)
     deltas = np.array([2.0 ** -k for k in ks])
-    z = np.empty((len(ks), grid.count))
+    z = np.empty((len(ks), disc.grid.count))
     for i, d in enumerate(deltas):
-        sl = solve_at_T(tc * (1.0 - d), kernel, params, opts, disc=disc)
+        sl = solve_at_T(tc * (1.0 - d), disc, opts)
         z[i] = sl.values ** 2 / (tc * d)
 
     dh = deltas  # already dimensionless: (T_c - T)/T_c
@@ -180,7 +184,7 @@ def extract_v(kernel: PotentialSpec, params: PhysicalParams,
     if np.any(v <= 0):
         raise NumericalError(
             "extracted near-transition slope must be positive at every node")
-    return VFunction(grid.nodes, v, resid)
+    return VFunction(disc.grid.nodes, v, resid)
 
 
 def _v_squared_g_deta(v: VFunction, params: PhysicalParams, tc: float) -> float:
@@ -196,21 +200,18 @@ def psi_second_derivative_at_tc(v: VFunction, params: PhysicalParams,
     return params.n0 / (8.0 * tc * tc) * _v_squared_g_deta(v, params, tc)
 
 
-def v_selfconsistency_residual(v: VFunction, kernel: PotentialSpec,
-                               params: PhysicalParams, tc: float) -> float:
+def v_selfconsistency_residual(v: VFunction, disc: Discretization,
+                               tc: float) -> float:
     """Sup-norm gap between v and its own fixed-point image F.
 
     F(x) is the square of the kernel integral of sqrt(v)/xi * tanh(xi/2T_c);
     for the true limit function both sides coincide.
     """
-    return float(np.max(np.abs(v.values
-                               - v_fixed_point_image(v, kernel, params, tc))))
+    return float(np.max(np.abs(v.values - v_fixed_point_image(v, disc, tc))))
 
 
-def v_fixed_point_image(v: VFunction, kernel: PotentialSpec,
-                        params: PhysicalParams, tc: float) -> np.ndarray:
-    grid = EnergyGrid(v.x)
-    disc = Discretization(kernel, grid)
+def v_fixed_point_image(v: VFunction, disc: Discretization,
+                        tc: float) -> np.ndarray:
     vv = np.maximum(disc.interp(v.values), 0.0)
     f = disc.kernel_apply(np.sqrt(vv) / disc.qn * np.tanh(disc.qn / (2.0 * tc)))
     return f * f
@@ -266,30 +267,30 @@ class ThermoCurve:
     cv_super: np.ndarray
 
 
-def build_thermo_curve(surface, kernel: PotentialSpec, params: PhysicalParams,
-                       dos: DosModel, tol: float = 1e-10) -> ThermoCurve:
+def build_thermo_curve(surface, disc: Discretization, dos: DosModel,
+                       tol: float = 1e-10) -> ThermoCurve:
     """Per-temperature thermodynamic records over a solved surface.
 
     cv_super uses second central differences of Omega_N + Psi on the curve
     grid (one-sided at the ends); everything else is analytic.
     """
+    params = disc.kernel.params
     ts = surface.t_grid
     n = ts.size
     om_n = np.empty(n)
     ps = np.empty(n)
     dps = np.empty(n)
     cvn = np.empty(n)
-    disc = Discretization(kernel, EnergyGrid(surface.slices[0].x))
     for i, sl in enumerate(surface.slices):
         t = float(ts[i])
         om_n[i] = omega_normal(t, params, dos, tol)
-        ps[i] = psi(t, sl, params)
+        ps[i] = psi(t, sl, disc)
         cvn[i] = cv_normal(t, params, dos, tol)
         if t == 0.0 or sl.sup() == 0.0:
             dps[i] = 0.0
         else:
-            du = du_dT_at_fixed_point(sl, kernel, params, disc)
-            dps[i] = psi_derivative(t, sl, du, params)
+            du = du_dT_at_fixed_point(sl, disc)
+            dps[i] = psi_derivative(t, sl, du, disc)
 
     total = om_n + ps
     cvs = np.empty(n)

@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from bcsgap import (ConstantPotential, PhysicalParams, SeparablePotential,
-                    SolverOpts, SqrtBandDos, build_grid, build_hc_curve,
+from bcsgap import (ConstantPotential, Discretization, PhysicalParams,
+                    SeparablePotential, SolverOpts, SqrtBandDos, build_grid,
+                    build_hc_curve,
                     contraction_diagnostics, cv_ratio, delta_at_zero,
                     extract_v, find_Tc, gap_rhs, hc, hc_zero, integrate,
                     linear_law_check, psi, psi_derivative,
@@ -43,10 +44,11 @@ def weak():
     p = validate_params(PhysicalParams(1e-6, 1.0, 20.0, 1.0, 0.25, 0.35))
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
+    disc = Discretization(k, grid)
     opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
-    v = extract_v(k, p, opts, grid=grid, tc=tc)
-    return dict(p=p, k=k, dos=SqrtBandDos(1.0, p), grid=grid, opts=opts,
+    v = extract_v(disc, opts, tc=tc)
+    return dict(p=p, dos=SqrtBandDos(1.0, p), disc=disc, opts=opts,
                 tc=tc, v=v, setup_runtime=time.time() - t0)
 
 
@@ -113,7 +115,7 @@ def separable_surface(default_params):
     grid = build_grid(p, 129)
     ts = np.linspace(0.0, solve_tau(p.u2, p), 33)
     t0 = time.time()
-    surf = sweep(ts, k, p, SolverOpts(), grid=grid)
+    surf = sweep(ts, Discretization(k, grid), SolverOpts())
     return dict(k=k, surf=surf, ts=ts, runtime=time.time() - t0, p=p)
 
 
@@ -140,7 +142,7 @@ def test_criterion_06_constant_kernel_oracle_equivalence(default_params):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     ts = np.linspace(0.0, solve_tau(p.u2, p), 33)
-    surf = sweep(ts, k, p, SolverOpts(), grid=grid, attach_tc=False)
+    surf = sweep(ts, Discretization(k, grid), SolverOpts(), attach_tc=False)
     worst = 0.0
     for t, sl in zip(ts, surf.slices):
         oracle = solve_simple_gap(float(t), 0.3, p)
@@ -167,7 +169,8 @@ def test_criterion_07a_contraction_bound_feasible():
     grid = build_grid(p, 65)
     opts = SolverOpts(confirm_tc=False)
     tc = find_Tc(k, p, opts, grid=grid)
-    rep = contraction_diagnostics(k, p, tc * (1.0 - 1e-5), opts, grid=grid, tc=tc)
+    rep = contraction_diagnostics(Discretization(k, grid), tc * (1.0 - 1e-5),
+                                  opts, tc=tc)
     ok = rep.alpha_feasible
     report("07a contraction bound alpha < 1", ok,
            f"alpha={rep.alpha:.6f} at the most favorable admissible "
@@ -180,11 +183,11 @@ def test_criterion_07b_iteration_ratios_below_bound(default_params):
     p = default_params
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
+    disc = Discretization(k, grid)
     tc = find_Tc(k, p, SolverOpts(confirm_tc=False), grid=grid)
     worst = 0.0
     for frac in (0.9, 0.95, 0.98):
-        sl = solve_at_T(frac * tc, k, p, SolverOpts(record_residuals=True),
-                        grid=grid)
+        sl = solve_at_T(frac * tc, disc, SolverOpts(record_residuals=True))
         r = np.array(sl.residual_history)
         ratios = r[1:][r[:-1] > 0] / r[:-1][r[:-1] > 0]
         worst = max(worst, float(np.max(ratios)))
@@ -198,6 +201,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
     p = default_params
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
+    disc = Discretization(k, grid)
     opts = SolverOpts(confirm_tc=False)
     tc = find_Tc(k, p, opts, grid=grid)
     d20 = solve_simple_gap(0.0, p.u2, p)
@@ -205,9 +209,9 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
     worst = 0.0
     for frac in (0.9, 0.95):
         t = frac * tc
-        upper = solve_at_T(t, k, p, SolverOpts(), grid=grid)
+        upper = solve_at_T(t, disc, SolverOpts())
         low = SolverOpts(seed=np.full(grid.count, 1e-3 * d20))
-        lower = solve_at_T(t, k, p, low, grid=grid)
+        lower = solve_at_T(t, disc, low)
         worst = max(worst, float(np.max(np.abs(upper.values - lower.values))))
     ok = worst <= 2.0 * tol
     report("07c two seeds converge together", ok,
@@ -217,27 +221,27 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
 
 def test_criterion_08_thermodynamic_endpoints(weak):
     t0 = time.time()
-    p, k, grid, opts, tc = (weak[key] for key in ("p", "k", "grid", "opts", "tc"))
-    slc = solve_at_T(tc, k, p, opts, grid=grid)
-    sl0 = solve_at_T(0.0, k, p, opts, grid=grid)
-    psi_tc = psi(tc, slc, p)
-    psi_0 = psi(0.0, sl0, p)
+    disc, opts, tc = (weak[key] for key in ("disc", "opts", "tc"))
+    slc = solve_at_T(tc, disc, opts)
+    sl0 = solve_at_T(0.0, disc, opts)
+    psi_tc = psi(tc, slc, disc)
+    psi_0 = psi(0.0, sl0, disc)
     ok_end = abs(psi_tc) <= 1e-8 * abs(psi_0)
 
     ok_neg = True
     for frac in (0.2, 0.5, 0.8, 0.95):
-        sl = solve_at_T(frac * tc, k, p, opts, grid=grid)
-        if not psi(frac * tc, sl, p) < 0.0:
+        sl = solve_at_T(frac * tc, disc, opts)
+        if not psi(frac * tc, sl, disc) < 0.0:
             ok_neg = False
 
     t = 0.6 * tc
-    sl = solve_at_T(t, k, p, opts, grid=grid)
-    du = du_dT_at_fixed_point(sl, k, p)
-    ana = psi_derivative(t, sl, du, p)
+    sl = solve_at_T(t, disc, opts)
+    du = du_dT_at_fixed_point(sl, disc)
+    ana = psi_derivative(t, sl, du, disc)
 
     def fd_err(h):
-        pp = psi(t + h, solve_at_T(t + h, k, p, opts, grid=grid), p)
-        pm = psi(t - h, solve_at_T(t - h, k, p, opts, grid=grid), p)
+        pp = psi(t + h, solve_at_T(t + h, disc, opts), disc)
+        pm = psi(t - h, solve_at_T(t - h, disc, opts), disc)
         return abs((pp - pm) / (2.0 * h) - ana)
 
     e1, e2 = fd_err(0.02 * tc), fd_err(0.01 * tc)
@@ -250,14 +254,14 @@ def test_criterion_08_thermodynamic_endpoints(weak):
 
 @pytest.fixture(scope="module")
 def hc_bundle(weak):
-    p, k, grid, opts, tc, v = (weak[key] for key in
-                               ("p", "k", "grid", "opts", "tc", "v"))
+    p, disc, opts, tc, v = (weak[key] for key in
+                            ("p", "disc", "opts", "tc", "v"))
     base = np.linspace(0.0, tc, 25)
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
     ts = np.unique(np.concatenate([base, ladder]))
     t0 = time.time()
-    surf = sweep(ts, k, p, opts, grid=grid, tc=tc)
-    curve = build_hc_curve(surf, v, k, p, opts)
+    surf = sweep(ts, disc, opts, tc=tc)
+    curve = build_hc_curve(surf, v, disc, opts)
     return dict(curve=curve, law=linear_law_check(curve, v, p),
                 runtime=time.time() - t0)
 
@@ -286,14 +290,14 @@ def test_criterion_09c_ratio_to_zero_field(hc_bundle):
 
 def test_criterion_09d_flat_at_zero_temperature(weak):
     t0 = time.time()
-    p, k, grid, opts = (weak[key] for key in ("p", "k", "grid", "opts"))
+    p, disc, opts = (weak[key] for key in ("p", "disc", "opts"))
     from bcsgap.simple_gap import tau3 as tau3_fn
     t3 = tau3_fn(p)
-    h0 = hc_zero(solve_at_T(0.0, k, p, opts, grid=grid), p)
+    h0 = hc_zero(solve_at_T(0.0, disc, opts), disc)
 
     def hc_at(t):
-        sl = solve_at_T(t, k, p, opts, grid=grid)
-        return hc(t, psi(t, sl, p))
+        sl = solve_at_T(t, disc, opts)
+        return hc(t, psi(t, sl, disc))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(t3 / 8.0) - h0)

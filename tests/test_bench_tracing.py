@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from bcsgap import (ConstantPotential, PhysicalParams, SeparablePotential,
-                    TabulatedPotential, validate_params)
+                    TabulatedPotential, cli, validate_params)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
@@ -55,3 +55,29 @@ def test_tracer_classifies_every_kernel_type():
     }
     for name, kernel in kernels.items():
         assert tracing._kernel_type(kernel) == name
+
+
+def test_tracer_names_find_tc_spans_by_kernel_type(tmp_path):
+    # the tracer reads the kernel from find_Tc's first argument
+    tracing = _load_tracing()
+    kernels = {
+        "constant": "potential.type = constant\npotential.u0 = 0.3\n",
+        "separable": "potential.type = separable\n"
+                     "potential.f_values = 0.52, 0.547, 0.57, 0.55, 0.53\n",
+        "tabulated": "potential.type = tabulated\n"
+                     "potential.nodes = 0.001, 0.5, 1.0\n"
+                     "potential.values = 0.28,0.29,0.30, 0.29,0.31,0.32, "
+                     "0.30,0.32,0.33\n",
+    }
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for name, text in kernels.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + "grids.energy_points = 33\n")
+            assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                             "--quiet", "tc"]) == 0
+    finally:
+        tracer.uninstall()
+    for name in kernels:
+        assert f"gap_solver.find_Tc.{name}" in tracer.names

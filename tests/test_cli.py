@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcsgap import ConfigError, load_config
+from bcsgap import ConfigError, Discretization, cli, load_config
 from bcsgap.thermo import JUMP_RATIO_WIDE_SHELL
 
 
@@ -242,3 +242,27 @@ def test_cli_vfun_and_hc(tmp_path):
     meta = (tmp_path / "hc.csv.meta").read_text()
     assert "hc0" in meta and "slope_at_Tc" in meta
     assert "coeff_over_hc0" in meta
+
+
+@pytest.mark.parametrize("args, most", [
+    (("tc",), 1), (("gap", "--t", "0.02"), 1),
+    (("sweep", "--t-points", "9"), 2), (("ratio",), 2), (("vfun",), 2),
+    (("diagnose", "--tau", "0.035"), 2),
+    (("thermo", "--t-points", "9"), 2), (("hc", "--t-points", "9"), 2),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_cli_builds_one_discretization_per_request(tmp_path, monkeypatch,
+                                                   args, most):
+    # the request's own discretization, plus the one find_Tc builds
+    builds = []
+    init = Discretization.__init__
+
+    def counted(self, kernel, grid):
+        builds.append(grid.count)
+        init(self, kernel, grid)
+
+    monkeypatch.setattr(Discretization, "__init__", counted)
+    cfg = write(tmp_path / "c.cfg", "potential.type = constant\n"
+                "potential.u0 = 0.3\ngrids.energy_points = 33\n")
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet",
+                     *args]) == 0
+    assert 1 <= len(builds) <= most

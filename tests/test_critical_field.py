@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcsgap import (ConstantPotential, GapSlice, NumericalError,
+from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     PhysicalParams, SolverOpts, build_grid, build_hc_curve,
                     extract_v, find_Tc, hc, hc_slope, hc_zero,
                     linear_law_check, psi, psi_derivative,
@@ -14,6 +14,7 @@ from bcsgap.gap_solver import du_dT_at_fixed_point
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
 GRID = build_grid(P, 129)
+DISC = Discretization(K, GRID)
 OPTS = SolverOpts()
 
 
@@ -24,7 +25,7 @@ def tc():
 
 @pytest.fixture(scope="module")
 def v(tc):
-    return extract_v(K, P, OPTS, grid=GRID, tc=tc)
+    return extract_v(DISC, OPTS, tc=tc)
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +33,8 @@ def curve(tc, v):
     base = np.linspace(0.0, tc, 25)
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
     ts = np.unique(np.concatenate([base, ladder]))
-    surface = sweep(ts, K, P, OPTS, grid=GRID, tc=tc)
-    return build_hc_curve(surface, v, K, P, OPTS)
+    surface = sweep(ts, DISC, OPTS, tc=tc)
+    return build_hc_curve(surface, v, DISC, OPTS)
 
 
 def test_hc_inverts_defining_square_root():
@@ -71,22 +72,23 @@ def test_hc_slope_approaches_transition_slope(tc, v):
     errs = []
     for k in (4, 6, 8):
         t = tc * (1.0 - 2.0 ** -k)
-        sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-        p = psi(t, sl, P)
-        du = du_dT_at_fixed_point(sl, K, P)
-        dp = psi_derivative(t, sl, du, P)
+        sl = solve_at_T(t, DISC, OPTS)
+        p = psi(t, sl, DISC)
+        du = du_dT_at_fixed_point(sl, DISC)
+        dp = psi_derivative(t, sl, du, DISC)
         errs.append(abs(hc_slope(t, p, dp) - s_tc))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01 * abs(s_tc)
 
 
 def test_hc_zero_matches_psi_route(tc):
-    sl0 = solve_at_T(0.0, K, P, OPTS, grid=GRID)
-    direct = hc_zero(sl0, P)
-    via_psi = hc(0.0, psi(0.0, sl0, P))
+    sl0 = solve_at_T(0.0, DISC, OPTS)
+    direct = hc_zero(sl0, DISC)
+    via_psi = hc(0.0, psi(0.0, sl0, DISC))
     assert direct == pytest.approx(via_psi, rel=1e-10)
-    zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.count), 0, 0.0)
-    assert hc_zero(zero, P) == 0.0
+    zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.count), 0, 0.0,
+                    coef=np.zeros(1))
+    assert hc_zero(zero, DISC) == 0.0
 
 
 def test_hc_zero_small_gap_taylor_pointwise():
@@ -95,7 +97,7 @@ def test_hc_zero_small_gap_taylor_pointwise():
     p = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.15, 0.25))
     k = ConstantPotential(0.2, p)
     g = build_grid(p, 129)
-    sl = solve_at_T(0.0, k, p, SolverOpts(), grid=g)
+    sl = solve_at_T(0.0, Discretization(k, g), SolverOpts())
     u0 = sl.values.max()
     sel = g.nodes >= 20.0 * u0
     x = g.nodes[sel]
@@ -121,12 +123,12 @@ def test_curve_flat_at_zero_temperature(tc, v):
     # small; at resolvable temperatures the halving test shows super-linear
     # flattening, below them both differences sit at the quadrature floor
     t3 = 0.5 * 0.00846557824340508
-    sl0 = solve_at_T(0.0, K, P, OPTS, grid=GRID)
-    h0 = hc_zero(sl0, P)
+    sl0 = solve_at_T(0.0, DISC, OPTS)
+    h0 = hc_zero(sl0, DISC)
 
     def hc_at(t):
-        sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-        return hc(t, psi(t, sl, P))
+        sl = solve_at_T(t, DISC, OPTS)
+        return hc(t, psi(t, sl, DISC))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(0.6 * t3) - h0)
@@ -142,8 +144,8 @@ def test_analytic_slope_matches_differences(tc, curve):
     ts = curve.t[sel]
 
     def hc_at(t):
-        sl = solve_at_T(float(t), K, P, OPTS, grid=GRID)
-        return hc(float(t), psi(float(t), sl, P))
+        sl = solve_at_T(float(t), DISC, OPTS)
+        return hc(float(t), psi(float(t), sl, DISC))
 
     for t in ts[:: max(1, ts.size // 4)]:
         errs = []

@@ -6,14 +6,15 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
                     SolverOpts, SqrtBandDos, TabulatedPotential, apply_A,
                     apply_dA_dT, build_grid, contraction_diagnostics,
                     cv_ratio, du_dT_at_fixed_point, extract_v, find_Tc,
-                    gap_rhs, integrate, solve_at_T, solve_simple_gap,
+                    gap_rhs, integrate, psi, solve_at_T, solve_simple_gap,
                     solve_tau, sweep, validate_params)
-from bcsgap.gap_solver import Discretization, alpha_at
+from bcsgap.gap_solver import Discretization
 from bcsgap.interpolate import MonotoneCubic
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
 GRID = build_grid(P, 129)
+DISC = Discretization(K, GRID)
 OPTS = SolverOpts()
 
 
@@ -34,13 +35,13 @@ def test_grid_endpoints_and_count():
 
 def test_apply_A_zero_is_zero_exactly():
     z = GapSlice(0.01, GRID.nodes, np.zeros(GRID.count), 0, 0.0)
-    out = apply_A(z, K, P)
+    out = apply_A(z, DISC)
     assert np.all(out.values == 0.0)
 
 
 def test_apply_A_constant_kernel_gives_constant_output():
     u = GapSlice(0.01, GRID.nodes, np.linspace(0.01, 0.05, GRID.count), 0, 0.0)
-    out = apply_A(u, K, P)
+    out = apply_A(u, DISC)
     assert np.ptp(out.values) < 1e-15
 
 
@@ -51,7 +52,7 @@ def test_apply_A_upper_envelope_contracts():
     d2 = solve_simple_gap(t, P.u2, P)
     u = GapSlice(t, GRID.nodes, np.full(GRID.count, d2), 0, 0.0)
     for kernel in (K, separable_kernel(P)):
-        out = apply_A(u, kernel, P)
+        out = apply_A(u, Discretization(kernel, GRID))
         assert np.all(out.values < d2)
 
 
@@ -62,7 +63,7 @@ def test_panel_operator_matches_adaptive_quadrature(t):
     rng = np.random.RandomState(1)
     vals = 0.05 + 0.01 * np.sin(3 * GRID.nodes) + 0.001 * rng.uniform(size=GRID.count)
     u = GapSlice(t, GRID.nodes, vals, 0, 0.0)
-    out = apply_A(u, K, P)
+    out = apply_A(u, DISC)
     m = MonotoneCubic(GRID.nodes, vals)
 
     def integrand(xi):
@@ -77,7 +78,7 @@ def test_panel_operator_matches_adaptive_quadrature(t):
 
 def test_solve_zero_above_tau2():
     tau2 = solve_tau(P.u2, P)
-    sl = solve_at_T(tau2 * 1.01, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(tau2 * 1.01, DISC, OPTS)
     assert np.all(sl.values == 0.0)
 
 
@@ -85,22 +86,22 @@ def test_solve_zero_above_tau2():
 def test_constant_kernel_matches_simple_gap(frac):
     tau = solve_tau(0.3, P)
     t = frac * tau
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(t, DISC, OPTS)
     oracle = solve_simple_gap(t, 0.3, P)
     assert np.max(np.abs(sl.values - oracle)) < 1e-8
 
 
 def test_converged_residual_below_tolerance():
-    sl = solve_at_T(0.01, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(0.01, DISC, OPTS)
     d20 = solve_simple_gap(0.0, P.u2, P)
     assert sl.final_residual <= OPTS.resolved_tol(d20)
     assert np.all(sl.values >= 0.0)
 
 
 def test_sandwich_for_separable_kernel():
-    ks = separable_kernel(P)
+    disc = Discretization(separable_kernel(P), GRID)
     for t in (0.005, 0.02, 0.04):
-        sl = solve_at_T(t, ks, P, OPTS, grid=GRID)
+        sl = solve_at_T(t, disc, OPTS)
         d1 = solve_simple_gap(t, P.u1, P)
         d2 = solve_simple_gap(t, P.u2, P)
         assert np.all(sl.values >= d1 - 1e-8)
@@ -118,7 +119,7 @@ def test_grid_refinement_converges():
     sols = {}
     for n in (65, 129, 257):
         g = build_grid(P, n)
-        sols[n] = solve_at_T(t, ks, P, OPTS, grid=g)
+        sols[n] = solve_at_T(t, Discretization(ks, g), OPTS)
 
     def diff(a, b):
         za = MonotoneCubic(a.x, a.values)
@@ -135,9 +136,9 @@ def test_two_seeds_same_fixed_point():
     t = 0.9 * tc
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
-    upper = solve_at_T(t, K, P, OPTS, grid=GRID)
+    upper = solve_at_T(t, DISC, OPTS)
     low_seed = np.full(GRID.count, 1e-3 * d20)
-    lower = solve_at_T(t, K, P, SolverOpts(seed=low_seed), grid=GRID)
+    lower = solve_at_T(t, DISC, SolverOpts(seed=low_seed))
     assert np.max(np.abs(upper.values - lower.values)) <= 2.0 * tol
 
 
@@ -147,7 +148,7 @@ def test_newton_converges_close_to_tc(offset):
     tc = solve_tau(0.3, P)
     t = tc * (1.0 - offset)
     d20 = solve_simple_gap(0.0, P.u2, P)
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(t, DISC, OPTS)
     oracle = solve_simple_gap(t, 0.3, P)
     assert np.max(np.abs(sl.values - oracle)) <= OPTS.resolved_tol(d20)
 
@@ -217,12 +218,12 @@ def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
                          ids=["separable", "tabulated"])
 @pytest.mark.parametrize("frac", [0.5, 0.95])
 def test_newton_matches_picard_reference(kernel, frac):
+    disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=GRID)
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
-    newton = solve_at_T(frac * tc, kernel, P, OPTS, grid=GRID)
-    picard = solve_at_T(frac * tc, kernel, P, SolverOpts(record_residuals=True),
-                        grid=GRID)
+    newton = solve_at_T(frac * tc, disc, OPTS)
+    picard = solve_at_T(frac * tc, disc, SolverOpts(record_residuals=True))
     assert newton.iterations <= 20 < picard.iterations
     assert np.max(np.abs(newton.values - picard.values)) <= 2.0 * tol
 
@@ -231,12 +232,13 @@ def test_picard_stops_at_the_roundoff_floor():
     # the residual reaches its roundoff floor (about 3e-18) long before the
     # budget; ratios measured there are noise and must not block the stop
     grid = build_grid(P, 33)
+    disc = Discretization(K, grid)
     tc = find_Tc(K, P, SolverOpts(confirm_tc=False), grid=grid)
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     t = tc * (1.0 - 2.0 ** -4)
-    newton = solve_at_T(t, K, P, SolverOpts(tol=tol), grid=grid)
-    picard = solve_at_T(t, K, P, SolverOpts(record_residuals=True, tol=tol,
-                                            max_iter=60_000), grid=grid)
+    newton = solve_at_T(t, disc, SolverOpts(tol=tol))
+    picard = solve_at_T(t, disc, SolverOpts(record_residuals=True, tol=tol,
+                                            max_iter=60_000))
     assert np.max(np.abs(picard.values - newton.values)) <= tol
 
 
@@ -248,11 +250,12 @@ def test_newton_stops_at_the_roundoff_floor(kernel, n):
     # its roundoff floor the Newton step is amplified noise that need not
     # fall below tol; the solve must stop there instead of running on
     grid = build_grid(P, n)
+    disc = Discretization(kernel, grid)
     tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=grid)
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     opts = SolverOpts(tol=tol, max_iter=100)
     for k in range(1, 21):
-        sl = solve_at_T(tc * (1.0 - 2.0 ** -k), kernel, P, opts, grid=grid)
+        sl = solve_at_T(tc * (1.0 - 2.0 ** -k), disc, opts)
         assert sl.final_residual <= tol
 
 
@@ -308,8 +311,8 @@ def test_jump_ratio_is_grid_independent(kernel):
     for n in (129, 257, 513):
         grid = build_grid(P, n)
         tc = find_Tc(kernel, P, OPTS, grid=grid)
-        ratios.append(cv_ratio(extract_v(kernel, P, OPTS, grid=grid, tc=tc),
-                               P, dos, tc))
+        ratios.append(cv_ratio(extract_v(Discretization(kernel, grid), OPTS,
+                                         tc=tc), P, dos, tc))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
 
 
@@ -320,25 +323,43 @@ def test_du_dT_matches_differences_of_converged_solves(kernel):
     opts = SolverOpts(tol=1e-13 * solve_simple_gap(0.0, P.u2, P))
     for frac in (0.5, 0.95, 1.0 - 2.0 ** -10):
         t = frac * tc
-        du = du_dT_at_fixed_point(solve_at_T(t, kernel, P, opts, disc=disc),
-                                  kernel, P, disc)
+        du = du_dT_at_fixed_point(solve_at_T(t, disc, opts), disc)
         h = 1e-3 * min(t, tc - t)
-        up = solve_at_T(t + h, kernel, P, opts, disc=disc)
-        dn = solve_at_T(t - h, kernel, P, opts, disc=disc)
+        up = solve_at_T(t + h, disc, opts)
+        dn = solve_at_T(t - h, disc, opts)
         fd = (up.values - dn.values) / (2.0 * h)
         assert np.max(np.abs(fd - du)) <= 1e-5 * np.max(np.abs(du))
 
 
+@pytest.mark.parametrize("t", [0.0, 0.02])
+def test_psi_integrates_the_slice_the_solver_produced(t):
+    # for a tabulated kernel (rank 5) the solver iterates u = Ft c at the
+    # quadrature nodes, which a monotone cubic through the grid values F c
+    # does not reproduce; Psi must be the potential of the solved slice
+    disc = Discretization(tabulated_kernel(P), GRID)
+    sl = solve_at_T(t, disc, OPTS)
+    xi, u = disc.qn, disc.Ft @ sl.coef
+    e = np.sqrt(xi * xi + u * u)
+    if t == 0.0:
+        integrand = -(e - xi) ** 2 / e
+    else:
+        integrand = (-2.0 * (e - xi) + u * u / e * np.tanh(e / (2.0 * t))
+                     - 4.0 * t * (np.log1p(np.exp(-e / t))
+                                  - np.log1p(np.exp(-xi / t))))
+    ref = P.n0 * float(disc.qw @ integrand)
+    assert psi(t, sl, disc) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_iteration_budget_error_carries_state():
     with pytest.raises(NumericalError) as exc:
-        solve_at_T(0.01, K, P, SolverOpts(max_iter=3), grid=GRID)
+        solve_at_T(0.01, DISC, SolverOpts(max_iter=3))
     assert exc.value.best is not None and exc.value.residual is not None
 
 
 def test_sweep_matches_simple_gap_curve():
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, K, P, OPTS, grid=GRID, tc=solve_tau(0.3, P), attach_tc=False)
+    surf = sweep(ts, DISC, OPTS, tc=solve_tau(0.3, P), attach_tc=False)
     for t, sl in zip(ts, surf.slices):
         oracle = solve_simple_gap(float(t), 0.3, P)
         assert np.max(np.abs(sl.values - oracle)) < 1e-8
@@ -348,10 +369,9 @@ def test_sweep_monotone_per_node():
     ks = separable_kernel(P)
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, ks, P, OPTS, grid=GRID)
+    surf = sweep(ts, Discretization(ks, GRID), OPTS)
     vals = np.array([sl.values for sl in surf.slices])
     assert np.all(np.diff(vals, axis=0) <= 2e-10)
-    assert surf.metadata["tau3"] > 0
     # largest T is tau2 where the slice is identically zero
     assert surf.slices[-1].sup() == 0.0
 
@@ -361,13 +381,13 @@ def test_sweep_lipschitz_with_feasible_gamma():
     # other; use such a configuration and check the band Lipschitz bound
     p = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.3, 0.3012))
     k = ConstantPotential(0.3005, p)
-    g = build_grid(p, 65)
-    rep = contraction_diagnostics(k, p, 0.9 * solve_tau(0.3005, p),
-                                  SolverOpts(confirm_tc=False), grid=g)
+    disc = Discretization(k, build_grid(p, 65))
+    rep = contraction_diagnostics(disc, 0.9 * solve_tau(0.3005, p),
+                                  SolverOpts(confirm_tc=False))
     assert rep.gamma_feasible and rep.gamma > 0
     t3 = rep.tau3
     ts = np.linspace(0.0, t3, 9)
-    surf = sweep(ts, k, p, SolverOpts(confirm_tc=False), grid=g, attach_tc=False)
+    surf = sweep(ts, disc, SolverOpts(confirm_tc=False), attach_tc=False)
     d20 = solve_simple_gap(0.0, p.u2, p)
     tol = SolverOpts().resolved_tol(d20)
     for i in range(len(ts) - 1):
@@ -379,9 +399,9 @@ def test_sweep_lipschitz_with_feasible_gamma():
 
 def test_sweep_rejects_bad_grids():
     with pytest.raises(ConfigError):
-        sweep([0.0, 0.0, 0.01], K, P, OPTS, grid=GRID)
+        sweep([0.0, 0.0, 0.01], DISC, OPTS)
     with pytest.raises(ConfigError):
-        sweep([0.0, 1.0], K, P, OPTS, grid=GRID)
+        sweep([0.0, 1.0], DISC, OPTS)
 
 
 def test_find_tc_constant_kernel_matches_tau():
@@ -409,18 +429,20 @@ def test_find_tc_zero_threshold_insensitive():
 
 def test_diagnostics_report_structure():
     tc = solve_tau(0.3, P)
-    rep = contraction_diagnostics(K, P, 0.9 * tc, SolverOpts(confirm_tc=False),
-                                  grid=GRID, tc=tc)
+    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(confirm_tc=False),
+                                  tc=tc)
     assert rep.a > 0 and rep.b > 0
     assert rep.tau3 == pytest.approx(rep.tau0 / 2.0)
     # defaults: coupling window far too wide for a finite gamma
     assert not rep.gamma_feasible and rep.gamma == np.inf
-    # recomputing the maximized quantity at the reported argmax reproduces it
-    back = alpha_at(K, P, rep.tau, *rep.alpha_argmax, grid=GRID)
-    assert back == pytest.approx(rep.alpha, rel=1e-12)
+    # for a constant kernel the alpha integrand is
+    # u0/u2 + u0 Delta_2(tau)^2/(2 eps^2) K(T, 0) (see
+    # test_coded_alpha_exceeds_perron_root), which falls with T, so it peaks
+    # at T = tau
+    assert rep.alpha_argmax[0] == rep.tau
     with pytest.raises(ConfigError):
-        contraction_diagnostics(K, P, 2.0 * tc, SolverOpts(confirm_tc=False),
-                                grid=GRID, tc=tc)
+        contraction_diagnostics(DISC, 2.0 * tc, SolverOpts(confirm_tc=False),
+                                tc=tc)
 
 
 def test_empirical_iteration_ratios_below_alpha_bound():
@@ -428,7 +450,7 @@ def test_empirical_iteration_ratios_below_alpha_bound():
     # here, so the ratios are held to the stricter bound 1: the iteration
     # contracts
     tc = solve_tau(0.3, P)
-    sl = solve_at_T(0.95 * tc, K, P, SolverOpts(record_residuals=True), grid=GRID)
+    sl = solve_at_T(0.95 * tc, DISC, SolverOpts(record_residuals=True))
     r = np.array(sl.residual_history)
     ratios = r[1:] / r[:-1]
     assert np.max(ratios[ratios > 0]) < 1.0
@@ -471,7 +493,7 @@ def test_coded_alpha_exceeds_perron_root():
     opts = SolverOpts(confirm_tc=False)
     tc = find_Tc(k, p, opts, grid=grid)
     tau = tc * (1.0 - 1e-5)
-    rep = contraction_diagnostics(k, p, tau, opts, grid=grid, tc=tc)
+    rep = contraction_diagnostics(Discretization(k, grid), tau, opts, tc=tc)
 
     with mp.workdps(30):
         t = mp.mpf(tau)
@@ -495,46 +517,46 @@ def test_coded_alpha_exceeds_perron_root():
 
 
 def test_apply_dA_dT_examples():
-    disc = Discretization(K, GRID)
+    disc = DISC
     t3 = 0.5 * 0.00846557824340508  # tau_3 at the default parameter set
-    sl = solve_at_T(t3, K, P, OPTS, grid=GRID)
-    out = apply_dA_dT(sl, np.zeros(GRID.count), K, P, disc)
+    sl = solve_at_T(t3, DISC, OPTS)
+    out = apply_dA_dT(sl, np.zeros(GRID.count), disc)
     assert np.all(out < 0.0)
 
     # the explicit temperature term fades to zero with T when du does
-    tiny = solve_at_T(1e-4, K, P, OPTS, grid=GRID)
-    out_tiny = apply_dA_dT(tiny, np.zeros(GRID.count), K, P, disc)
+    tiny = solve_at_T(1e-4, DISC, OPTS)
+    out_tiny = apply_dA_dT(tiny, np.zeros(GRID.count), disc)
     assert np.max(np.abs(out_tiny)) < 1e-100
 
     with pytest.raises(ValueError):
         apply_dA_dT(GapSlice(0.0, GRID.nodes, sl.values, 0, 0.0),
-                    np.zeros(GRID.count), K, P, disc)
+                    np.zeros(GRID.count), disc)
 
 
 def test_apply_dA_dT_matches_finite_difference_at_fixed_u():
-    disc = Discretization(K, GRID)
+    disc = DISC
     t = 0.015
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(t, DISC, OPTS)
     h = 1e-4 * solve_tau(P.u1, P)
-    up = apply_A(GapSlice(t + h, GRID.nodes, sl.values, 0, 0.0), K, P, disc)
-    dn = apply_A(GapSlice(t - h, GRID.nodes, sl.values, 0, 0.0), K, P, disc)
+    up = apply_A(GapSlice(t + h, GRID.nodes, sl.values, 0, 0.0), disc)
+    dn = apply_A(GapSlice(t - h, GRID.nodes, sl.values, 0, 0.0), disc)
     fd = (up.values - dn.values) / (2.0 * h)
-    ana = apply_dA_dT(sl, np.zeros(GRID.count), K, P, disc)
+    ana = apply_dA_dT(sl, np.zeros(GRID.count), disc)
     assert np.max(np.abs(fd - ana)) < 1e-6 * np.max(np.abs(ana))
 
 
 def test_du_fixed_point_solution():
-    disc = Discretization(K, GRID)
+    disc = DISC
     t = 0.015
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-    du = du_dT_at_fixed_point(sl, K, P, disc)
+    sl = solve_at_T(t, DISC, OPTS)
+    du = du_dT_at_fixed_point(sl, disc)
     assert np.all(du < 0.0)
     # du solves the differentiated fixed-point identity
-    img = apply_dA_dT(sl, du, K, P, disc)
+    img = apply_dA_dT(sl, du, disc)
     assert np.max(np.abs(img - du)) < 1e-12 * np.max(np.abs(du))
     # and matches a centered difference of the solution surface
     h = 2e-4 * t
-    up = solve_at_T(t + h, K, P, OPTS, grid=GRID)
-    dn = solve_at_T(t - h, K, P, OPTS, grid=GRID)
+    up = solve_at_T(t + h, DISC, OPTS)
+    dn = solve_at_T(t - h, DISC, OPTS)
     fd = (up.values - dn.values) / (2.0 * h)
     assert np.max(np.abs(fd - du)) < 1e-4 * np.max(np.abs(du))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcsgap import (ConstantPotential, FlatShellDos, GapSlice,
+from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
                     PhysicalParams, SolverOpts, SqrtBandDos, build_grid,
                     build_thermo_curve, cv_normal, cv_ratio, delta_cv,
                     extract_v, find_Tc, g_weight, integrate, integrate_tail,
@@ -19,6 +19,7 @@ from bcsgap.thermo import VFunction, ZETA3, v_fixed_point_image
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
 GRID = build_grid(P, 129)
+DISC = Discretization(K, GRID)
 OPTS = SolverOpts()
 DOS = SqrtBandDos(1.0, P)
 FLAT = FlatShellDos(1.0, P)
@@ -152,16 +153,16 @@ def tc_const():
 
 @pytest.fixture(scope="module")
 def v_const(tc_const):
-    return extract_v(K, P, OPTS, grid=GRID, tc=tc_const)
+    return extract_v(DISC, OPTS, tc=tc_const)
 
 
 def test_psi_zero_slice_is_zero_exactly():
-    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0)
-    assert psi(0.02, z, P) == 0.0
+    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0, coef=np.zeros(1))
+    assert psi(0.02, z, DISC) == 0.0
 
 
 def test_psi_zero_temperature_closed_form():
-    sl = solve_at_T(0.0, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(0.0, DISC, OPTS)
     from bcsgap.interpolate import MonotoneCubic
     m = MonotoneCubic(sl.x, sl.values)
 
@@ -171,48 +172,48 @@ def test_psi_zero_temperature_closed_form():
         return (e - xi) ** 2 / e
 
     ref = -P.n0 * integrate(integrand, P.epsilon, P.hbar_omega_d, 1e-13).value
-    assert psi(0.0, sl, P) == pytest.approx(ref, rel=1e-9)
+    assert psi(0.0, sl, DISC) == pytest.approx(ref, rel=1e-9)
 
 
 def test_psi_negative_below_tc(tc_const):
     for frac in (0.1, 0.4, 0.7, 0.95):
         t = frac * tc_const
-        sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-        assert psi(t, sl, P) < 0.0
+        sl = solve_at_T(t, DISC, OPTS)
+        assert psi(t, sl, DISC) < 0.0
 
 
 def test_psi_derivative_zero_slice_cancels():
-    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0)
-    assert psi_derivative(0.02, z, np.zeros(GRID.count), P) == 0.0
+    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0, coef=np.zeros(1))
+    assert psi_derivative(0.02, z, np.zeros(GRID.count), DISC) == 0.0
 
 
 def test_psi_derivative_rejects_zero_temperature():
-    sl = solve_at_T(0.01, K, P, OPTS, grid=GRID)
+    sl = solve_at_T(0.01, DISC, OPTS)
     with pytest.raises(ValueError):
-        psi_derivative(0.0, sl, np.zeros(GRID.count), P)
+        psi_derivative(0.0, sl, np.zeros(GRID.count), DISC)
 
 
 def test_psi_derivative_matches_central_differences(tc_const):
     t = 0.6 * tc_const
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-    du = du_dT_at_fixed_point(sl, K, P)
-    ana = psi_derivative(t, sl, du, P)
+    sl = solve_at_T(t, DISC, OPTS)
+    du = du_dT_at_fixed_point(sl, DISC)
+    ana = psi_derivative(t, sl, du, DISC)
     h = 1e-4 * tc_const
-    pp = psi(t + h, solve_at_T(t + h, K, P, OPTS, grid=GRID), P)
-    pm = psi(t - h, solve_at_T(t - h, K, P, OPTS, grid=GRID), P)
+    pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
+    pm = psi(t - h, solve_at_T(t - h, DISC, OPTS), DISC)
     fd = (pp - pm) / (2.0 * h)
     assert fd == pytest.approx(ana, rel=1e-5)
 
 
 def test_psi_derivative_second_order_step_convergence(tc_const):
     t = 0.6 * tc_const
-    sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-    du = du_dT_at_fixed_point(sl, K, P)
-    ana = psi_derivative(t, sl, du, P)
+    sl = solve_at_T(t, DISC, OPTS)
+    du = du_dT_at_fixed_point(sl, DISC)
+    ana = psi_derivative(t, sl, du, DISC)
 
     def fd_err(h):
-        pp = psi(t + h, solve_at_T(t + h, K, P, OPTS, grid=GRID), P)
-        pm = psi(t - h, solve_at_T(t - h, K, P, OPTS, grid=GRID), P)
+        pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
+        pm = psi(t - h, solve_at_T(t - h, DISC, OPTS), DISC)
         return abs((pp - pm) / (2.0 * h) - ana)
 
     e1 = fd_err(0.02 * tc_const)
@@ -224,9 +225,9 @@ def test_psi_derivative_vanishes_toward_tc(tc_const):
     vals = []
     for k in (5, 7, 9):
         t = tc_const * (1.0 - 2.0 ** -k)
-        sl = solve_at_T(t, K, P, OPTS, grid=GRID)
-        du = du_dT_at_fixed_point(sl, K, P)
-        vals.append(abs(psi_derivative(t, sl, du, P)))
+        sl = solve_at_T(t, DISC, OPTS)
+        du = du_dT_at_fixed_point(sl, DISC)
+        vals.append(abs(psi_derivative(t, sl, du, DISC)))
     assert vals[2] < vals[1] < vals[0]
     # the derivative falls linearly in T_c - T: a factor 16 over two rungs
     assert vals[2] < 0.1 * vals[0]
@@ -245,20 +246,20 @@ def test_extract_v_constant_kernel(tc_const, v_const):
 
 
 def test_extract_v_ladder_depth_stability(tc_const, v_const):
-    deeper = extract_v(K, P, OPTS, grid=GRID, tc=tc_const, ks=range(3, 12))
+    deeper = extract_v(DISC, OPTS, tc=tc_const, ks=range(3, 12))
     assert np.max(np.abs(deeper.values - v_const.values)) <= np.max(v_const.fit_residual)
 
 
 def test_v_selfconsistency(tc_const, v_const):
-    res = v_selfconsistency_residual(v_const, K, P, tc_const)
+    res = v_selfconsistency_residual(v_const, DISC, tc_const)
     assert res <= 3.0 * np.max(v_const.fit_residual)
 
 
 def test_v_image_homogeneous_degree_one(tc_const, v_const):
-    f1 = v_fixed_point_image(v_const, K, P, tc_const)
+    f1 = v_fixed_point_image(v_const, DISC, tc_const)
     for c in (2.0, 4.0):
         vc = VFunction(v_const.x, c * v_const.values, v_const.fit_residual)
-        fc = v_fixed_point_image(vc, K, P, tc_const)
+        fc = v_fixed_point_image(vc, DISC, tc_const)
         assert np.allclose(fc, c * f1, rtol=1e-12)
     # constant kernel: the image is x-independent
     assert np.ptp(f1) < 1e-12 * np.max(f1)
@@ -297,7 +298,7 @@ def test_cv_ratio_wide_shell_band():
     g = build_grid(p6, 129)
     tc = find_Tc(k, p6, OPTS, grid=g)
     assert 1.0 / (2.0 * tc) >= 25.0 and p6.epsilon / (2.0 * tc) <= 1e-4
-    v = extract_v(k, p6, OPTS, grid=g, tc=tc)
+    v = extract_v(Discretization(k, g), OPTS, tc=tc)
     ratio = cv_ratio(v, p6, SqrtBandDos(1.0, p6), tc)
     assert abs(ratio - 12.0 / (7.0 * ZETA3)) <= 0.02 * 12.0 / (7.0 * ZETA3)
 
@@ -309,8 +310,8 @@ def test_psi_second_derivative_sign(tc_const, v_const):
 def test_thermo_curve_assembly(tc_const):
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, K, P, OPTS, grid=GRID, tc=tc_const)
-    curve = build_thermo_curve(surf, K, P, DOS, 1e-10)
+    surf = sweep(ts, DISC, OPTS, tc=tc_const)
+    curve = build_thermo_curve(surf, DISC, DOS, 1e-10)
     below = ts < tc_const
     assert np.all(curve.psi[below] < 0.0)
     assert np.all(curve.psi[~below] == 0.0)
