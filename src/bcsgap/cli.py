@@ -25,7 +25,7 @@ from .gap_solver import (Discretization, SolverOpts, build_grid,
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
-                     delta_cv, cv_ratio, extract_v, universal_constant)
+                     delta_cv, extract_v, universal_constant)
 
 
 def _fmt(x) -> str:
@@ -160,7 +160,7 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
     tau2 = solve_tau(cfg.params.u2, cfg.params)
     ts = _t_grid(args, cfg, tau2)
     surface = sweep(ts, disc, _opts(cfg))
-    curve = build_thermo_curve(surface, disc, cfg.dos, cfg.quad_tol)
+    curve = build_thermo_curve(surface, disc, cfg.dos)
     path = _out_path(args, "thermo.csv")
     _write_csv(path, ["T", "omega_n", "psi", "dpsi_dT", "cv_normal", "cv_super"],
                [curve.t, curve.omega_n, curve.psi, curve.dpsi_dT,
@@ -175,8 +175,8 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
     v = extract_v(disc, opts, tc=tc)
     dcv = delta_cv(v, cfg.params, tc)
-    cvn = cv_normal(tc, cfg.params, cfg.dos, cfg.quad_tol)
-    ratio = cv_ratio(v, cfg.params, cfg.dos, tc)
+    cvn = cv_normal(tc, cfg.params, cfg.dos)
+    ratio = dcv / cvn
     uni = universal_constant()
     path = _out_path(args, "ratio.txt")
     _write_kv(path, _meta(cfg, {
@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--tol", type=tolerance, default=None,
-                   help="override the quadrature tolerance")
+                   help="override tolerances.quad_tol; accepted for "
+                        "compatibility, changes no result")
     p.add_argument("--quiet", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -36,7 +36,7 @@ def hc_slope(t: float, psi_value: float, dpsi_value: float) -> float:
 
 def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
     """Closed-form (negative) slope of H_c at the transition."""
-    val = -math.pi * params.n0 / (2.0 * tc * tc) * _v_squared_g_deta(v, params, tc)
+    val = -math.pi * params.n0 / (2.0 * tc * tc) * _v_squared_g_deta(v, tc)
     return -math.sqrt(val)
 
 

@@ -434,13 +434,11 @@ def contraction_diagnostics(disc: Discretization, tau: float,
     t3 = 0.5 * t0
     qn, qw = disc.qn, disc.qw
 
-    a = 0.0
-    for t in np.linspace(0.0, t3, 65):
-        d1 = solve_simple_gap(float(t), params.u1, params)
-        e = np.hypot(qn, d1)
-        a = max(a, float(qw @ (np.tanh(e / (2.0 * t0)) / e)))
-
+    # Delta_1 falls with T and tanh(E/2 tau_0)/E with E, so the sup of the
+    # a integrand over [0, tau_3] is its value at tau_3
     d1_t3 = solve_simple_gap(t3, params.u1, params)
+    e = np.hypot(qn, d1_t3)
+    a = float(qw @ (np.tanh(e / (2.0 * t0)) / e))
     b = 32.0 * t3 ** 2 / d1_t3 ** 2 * np.arctan(params.hbar_omega_d / d1_t3)
 
     gamma_feasible = 1.0 - params.u2 * a > 0.0

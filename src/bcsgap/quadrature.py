@@ -5,10 +5,14 @@ error estimate is split until the summed estimate meets the requested
 tolerance.  Integrands must accept numpy arrays.  ``integrate_tail`` handles
 semi-infinite integrals of exponentially decaying integrands by truncation at
 60 decay lengths (e^-60 ~ 1e-26, far below every tolerance used here).
+No computation in the package uses them; they are the tests' independent
+reference integrals.
 
-``composite_gauss`` builds the fixed Gauss-Legendre panel rule used by the
-gap solver's hot loop and the constant-coupling gap integral; it is exact for
-piecewise-cubic integrand factors whose breakpoints coincide with the panels.
+``composite_gauss`` builds the fixed Gauss-Legendre panel rules of every
+integral the package computes: the gap solver's hot loop, the
+constant-coupling gap integral and the normal-state Fermi windows; it is
+exact for piecewise-cubic integrand factors whose breakpoints coincide with
+the panels.
 """
 from __future__ import annotations
 

@@ -14,7 +14,9 @@ suppresses the curvature bias a plain straight-line slope would pick up.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .gap_solver import (Discretization, GapSlice, SolverOpts,
                          du_dT_at_fixed_point, find_Tc, solve_at_T)
 from .interpolate import MonotoneCubic
 from .model import DosModel, PhysicalParams, eval_dos
-from .quadrature import composite_gauss, integrate, integrate_tail
+from .quadrature import composite_gauss
 from .special import fermi, sech2
 
 ZETA3 = 1.2020569031595943
@@ -104,44 +106,82 @@ def psi_derivative(t: float, u: GapSlice, du: np.ndarray,
     return disc.kernel.params.n0 * float(qw @ (term1 + term2 + k1 + k2 + k3 + k4))
 
 
-def omega_normal(t: float, params: PhysicalParams, dos: DosModel,
-                 tol: float = 1e-10) -> float:
-    """Normal-state thermodynamic potential (five-integral form)."""
-    eps, om, mu, n0 = params.epsilon, params.hbar_omega_d, params.mu, params.n0
-    o1 = -2.0 * n0 * integrate(lambda x: x, eps, om, tol).value
-    o3 = 2.0 * integrate(lambda x: x * eval_dos(dos, x), -mu, -om, tol).value
+# Fermi-window rules: 7-point Gauss panels at most T wide (every pole of the
+# Fermi factors lies at |Im x| >= pi T), cut _WINDOW thermal lengths from the
+# shell edge where the factor peaks; x^2 sech^2(x/2T) has fallen below 1e-16
+# of its integral there.
+_WINDOW = 46.0
+
+
+@lru_cache(maxsize=None)
+def _unit_panels():
+    """Gauss nodes and weights on the 128 unit panels of [0, 128]."""
+    return composite_gauss(np.arange(129.0))
+
+
+def _panels(a: float, length: float, width: float):
+    """Gauss rule on [a, a + length] with ceil(length/width) <= 128 equal panels."""
+    m = max(1, math.ceil(length / width))
+    u, w = _unit_panels()
+    h = length / m
+    return a + h * u[:7 * m], h * w[:7 * m]
+
+
+def _below_shell(reach: float, width: float, params: PhysicalParams):
+    """Gauss rule on [max(-mu, -om - reach), -om], panels at most width wide.
+
+    The panels are uniform in d = sqrt(mu - om) - sqrt(x + mu): in d the
+    sqrt-band branch point at x = -mu is a polynomial factor, so the rule
+    converges geometrically up to it.
+    """
+    om, mu = params.hbar_omega_d, params.mu
+    top = math.sqrt(mu - om)
+    d, wd = _panels(0.0, top - math.sqrt(max(top * top - reach, 0.0)),
+                    width / (2.0 * top))
+    x = np.maximum(-om - d * (2.0 * top - d), -mu)
+    return x, 2.0 * (top - d) * wd
+
+
+def _windows(t: float, params: PhysicalParams):
+    """Fermi-window rules at T = t > 0: the shell [eps, om], and the
+    off-shell windows below -om and above om joined into one rule."""
+    eps, om = params.epsilon, params.hbar_omega_d
+    reach = _WINDOW * t
+    xs, ws = _panels(eps, min(om - eps, reach), t)
+    xb, wb = _below_shell(reach, t, params)
+    xa, wa = _panels(om, reach, t)
+    return xs, ws, np.concatenate([xb, xa]), np.concatenate([wb, wa])
+
+
+def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
+    """Normal-state thermodynamic potential (five-integral form).
+
+    The two temperature-free terms are exact: -2 n0 (integral of x over the
+    shell) in closed form, and 2 (integral of x N(x) over [-mu, -om]) by one
+    Gauss panel in sqrt(x + mu), where both DOS models are polynomials.
+    """
+    eps, om, n0 = params.epsilon, params.hbar_omega_d, params.n0
+    xb, wb = _below_shell(math.inf, math.inf, params)
+    energy = -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
     if t == 0.0:
-        return o1 + o3
-    o2 = -4.0 * n0 * t * integrate(
-        lambda x: np.log1p(np.exp(-x / t)), eps, om, tol).value
-    o4 = -2.0 * t * integrate(
-        lambda x: eval_dos(dos, x) * np.log1p(np.exp(x / t)), -mu, -om, tol).value
-    o5 = -2.0 * t * integrate_tail(
-        lambda x: eval_dos(dos, x) * np.log1p(np.exp(-x / t)), om, t, tol).value
-    return o1 + o2 + o3 + o4 + o5
+        return energy
+    xs, ws, xo, wo = _windows(t, params)
+    shell = 2.0 * n0 * float(ws @ np.log1p(np.exp(-xs / t)))
+    off = float(wo @ (eval_dos(dos, xo) * np.log1p(np.exp(-np.abs(xo) / t))))
+    return energy - 2.0 * t * (shell + off)
 
 
-def omega_normal_second_derivative(t: float, params: PhysicalParams,
-                                   dos: DosModel, tol: float = 1e-10) -> float:
-    """Closed-form d^2(Omega_N)/dT^2 (no numerical differentiation)."""
-    if t <= 0.0:
-        raise ValueError("omega_normal_second_derivative needs T > 0")
-    eps, om, mu, n0 = params.epsilon, params.hbar_omega_d, params.mu, params.n0
-    t1 = -n0 / t ** 3 * integrate(
-        lambda x: x * x * sech2(x / (2.0 * t)), eps, om, tol).value
-    t2 = -0.5 / t ** 3 * integrate(
-        lambda x: eval_dos(dos, x) * x * x * sech2(x / (2.0 * t)), -mu, -om, tol).value
-    t3 = -0.5 / t ** 3 * integrate_tail(
-        lambda x: eval_dos(dos, x) * x * x * sech2(x / (2.0 * t)), om, t, tol).value
-    return t1 + t2 + t3
-
-
-def cv_normal(t: float, params: PhysicalParams, dos: DosModel,
-              tol: float = 1e-10) -> float:
-    """Normal-state specific heat C_V^N(T) = -T d^2(Omega_N)/dT^2."""
+def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
+    """Normal-state specific heat C_V^N(T) = -T d^2(Omega_N)/dT^2, from the
+    closed-form second derivative (no numerical differentiation)."""
+    if t < 0.0:
+        raise ValueError("cv_normal needs T >= 0")
     if t == 0.0:
         return 0.0
-    return -t * omega_normal_second_derivative(t, params, dos, tol)
+    xs, ws, xo, wo = _windows(t, params)
+    shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
+    off = float(wo @ (eval_dos(dos, xo) * xo * xo * sech2(xo / (2.0 * t))))
+    return 0.5 / (t * t) * (shell + off)
 
 
 @dataclass
@@ -187,7 +227,7 @@ def extract_v(disc: Discretization, opts: SolverOpts | None = None,
     return VFunction(disc.grid.nodes, v, resid)
 
 
-def _v_squared_g_deta(v: VFunction, params: PhysicalParams, tc: float) -> float:
+def _v_squared_g_deta(v: VFunction, tc: float) -> float:
     """Integral of v(2 T_c eta)^2 g(eta) d eta over the shell, in eta units."""
     qn, qw = composite_gauss(v.x)
     vv = np.maximum(MonotoneCubic(v.x, v.values)(qn), 0.0)
@@ -197,7 +237,7 @@ def _v_squared_g_deta(v: VFunction, params: PhysicalParams, tc: float) -> float:
 def psi_second_derivative_at_tc(v: VFunction, params: PhysicalParams,
                                 tc: float) -> float:
     """Curvature of psi at the transition (negative)."""
-    return params.n0 / (8.0 * tc * tc) * _v_squared_g_deta(v, params, tc)
+    return params.n0 / (8.0 * tc * tc) * _v_squared_g_deta(v, tc)
 
 
 def v_selfconsistency_residual(v: VFunction, disc: Discretization,
@@ -219,41 +259,28 @@ def v_fixed_point_image(v: VFunction, disc: Discretization,
 
 def delta_cv(v: VFunction, params: PhysicalParams, tc: float) -> float:
     """Specific-heat jump at the transition (positive; g < 0)."""
-    return -params.n0 / (8.0 * tc) * _v_squared_g_deta(v, params, tc)
-
-
-def _j_integral(params: PhysicalParams, dos: DosModel, tc: float,
-                tol: float = 1e-12) -> float:
-    """Shell plus off-shell cosh^-2 weight integrals entering the ratio."""
-    eps, om, mu, n0 = params.epsilon, params.hbar_omega_d, params.mu, params.n0
-    ehat, b, mhat = eps / (2 * tc), om / (2 * tc), mu / (2 * tc)
-    j1 = 2.0 * n0 * integrate(lambda e: e * e * sech2(e), ehat, b, tol).value
-    # below-shell piece, folded to positive eta
-    j2 = integrate(lambda e: eval_dos(dos, -2.0 * tc * e) * e * e * sech2(e),
-                   b, mhat, tol).value
-    j3 = integrate_tail(lambda e: eval_dos(dos, 2.0 * tc * e) * e * e * sech2(e),
-                        b, 0.5, tol).value
-    return j1 + j2 + j3
+    return -params.n0 / (8.0 * tc) * _v_squared_g_deta(v, tc)
 
 
 def cv_ratio(v: VFunction, params: PhysicalParams, dos: DosModel,
-             tc: float, tol: float = 1e-12) -> float:
+             tc: float) -> float:
     """Jump over normal specific heat at T_c, from the explicit expression."""
-    j = _j_integral(params, dos, tc, tol)
-    return -params.n0 / (32.0 * tc * tc * j) * _v_squared_g_deta(v, params, tc)
+    return delta_cv(v, params, tc) / cv_normal(tc, params, dos)
 
 
-def universal_constant(tol: float = 1e-12) -> float:
+def universal_constant() -> float:
     """Wide-shell limit of the jump ratio for constant kernels.
 
     The squared tanh difference across the shell tends to 1, leaving the
-    reciprocal product of the two weight integrals.  The algebraic 1/eta^3
-    tail of -g beyond the truncation point is added in closed form (the
-    remaining exponentially small part is below 1e-50).
+    reciprocal product of the two weight integrals, taken with Gauss panels
+    of width 1/2 in eta (the sech^2 poles lie at +-i pi/2).  The algebraic
+    1/eta^3 tail of -g beyond the truncation point is added in closed form
+    (the remaining exponentially small part is below 1e-50).
     """
     cut = 60.0
-    i1 = integrate(lambda e: e * e * sech2(e), 0.0, cut, tol).value
-    i2 = integrate(lambda e: -g_weight(e), 0.0, cut, tol).value + 0.5 / cut ** 2
+    e, w = _panels(0.0, cut, 0.5)
+    i1 = float(w @ (e * e * sech2(e)))
+    i2 = float(w @ -g_weight(e)) + 0.5 / cut ** 2
     return 1.0 / (i1 * i2)
 
 
@@ -267,8 +294,8 @@ class ThermoCurve:
     cv_super: np.ndarray
 
 
-def build_thermo_curve(surface, disc: Discretization, dos: DosModel,
-                       tol: float = 1e-10) -> ThermoCurve:
+def build_thermo_curve(surface, disc: Discretization,
+                       dos: DosModel) -> ThermoCurve:
     """Per-temperature thermodynamic records over a solved surface.
 
     cv_super uses second central differences of Omega_N + Psi on the curve
@@ -283,9 +310,9 @@ def build_thermo_curve(surface, disc: Discretization, dos: DosModel,
     cvn = np.empty(n)
     for i, sl in enumerate(surface.slices):
         t = float(ts[i])
-        om_n[i] = omega_normal(t, params, dos, tol)
+        om_n[i] = omega_normal(t, params, dos)
         ps[i] = psi(t, sl, disc)
-        cvn[i] = cv_normal(t, params, dos, tol)
+        cvn[i] = cv_normal(t, params, dos)
         if t == 0.0 or sl.sup() == 0.0:
             dps[i] = 0.0
         else:

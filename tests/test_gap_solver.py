@@ -445,6 +445,20 @@ def test_diagnostics_report_structure():
                                 tc=tc)
 
 
+def test_diagnostics_a_is_the_sup_over_the_low_temperature_band():
+    # a is the value at tau_3; the sup over a 65-point Delta_1 ladder on
+    # [0, tau_3] must be that same value
+    tc = solve_tau(0.3, P)
+    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(confirm_tc=False),
+                                  tc=tc)
+    qn, qw = DISC.qn, DISC.qw
+    ladder = []
+    for t in np.linspace(0.0, rep.tau3, 65):
+        e = np.hypot(qn, solve_simple_gap(float(t), P.u1, P))
+        ladder.append(float(qw @ (np.tanh(e / (2.0 * rep.tau0)) / e)))
+    assert rep.a == pytest.approx(max(ladder), rel=1e-15, abs=0)
+
+
 def test_empirical_iteration_ratios_below_alpha_bound():
     # alpha is above 1 (see test_coded_alpha_exceeds_perron_root), about 5849
     # here, so the ratios are held to the stricter bound 1: the iteration

@@ -116,7 +116,7 @@ def test_omega_normal_term_additivity():
         -2.0 * t * integrate(lambda x: eval_dos(DOS, x) * np.log1p(np.exp(x / t)), -mu, -om, tol).value,
         -2.0 * t * integrate_tail(lambda x: eval_dos(DOS, x) * np.log1p(np.exp(-x / t)), om, t, tol).value,
     ]
-    assert omega_normal(t, P, DOS, tol) == pytest.approx(sum(terms), abs=5 * tol)
+    assert omega_normal(t, P, DOS) == pytest.approx(sum(terms), abs=5 * tol)
 
 
 def test_cv_normal_matches_substituted_form_at_tc():
@@ -126,24 +126,24 @@ def test_cv_normal_matches_substituted_form_at_tc():
     c = (8.0 * tc * P.n0 * integrate(lambda e: e * e * sech2(e), ehat, b, tol).value
          + 4.0 * tc * integrate(lambda e: eval_dos(DOS, -2 * tc * e) * e * e * sech2(e), b, mhat, tol).value
          + 4.0 * tc * integrate_tail(lambda e: eval_dos(DOS, 2 * tc * e) * e * e * sech2(e), b, 0.5, tol).value)
-    assert cv_normal(tc, P, DOS, tol) == pytest.approx(c, rel=1e-10)
+    assert cv_normal(tc, P, DOS) == pytest.approx(c, rel=1e-10)
 
 
 def test_cv_normal_flat_shell_wide_limit():
     p = validate_params(PhysicalParams(1e-9, 1.0, 20.0, 1.0, 0.25, 0.35))
     t = 0.01
     expected = 8.0 * t * p.n0 * math.pi ** 2 / 12.0
-    assert cv_normal(t, p, FlatShellDos(1.0, p), 1e-12) == pytest.approx(expected, rel=1e-6)
+    assert cv_normal(t, p, FlatShellDos(1.0, p)) == pytest.approx(expected, rel=1e-6)
 
 
 def test_cv_normal_against_second_differences():
     t = 0.02
     h = 1e-3 * t
     tol = 1e-13
-    fd = -(t / h ** 2) * (omega_normal(t + h, P, DOS, tol)
-                          - 2.0 * omega_normal(t, P, DOS, tol)
-                          + omega_normal(t - h, P, DOS, tol))
-    assert fd == pytest.approx(cv_normal(t, P, DOS, tol), rel=1e-2)
+    fd = -(t / h ** 2) * (omega_normal(t + h, P, DOS)
+                          - 2.0 * omega_normal(t, P, DOS)
+                          + omega_normal(t - h, P, DOS))
+    assert fd == pytest.approx(cv_normal(t, P, DOS), rel=1e-2)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +285,7 @@ def test_delta_cv_constant_v_quadrature_oracle(tc_const, v_const):
 
 def test_cv_ratio_consistency(tc_const, v_const):
     ratio = cv_ratio(v_const, P, DOS, tc_const)
-    direct = delta_cv(v_const, P, tc_const) / cv_normal(tc_const, P, DOS, 1e-12)
+    direct = delta_cv(v_const, P, tc_const) / cv_normal(tc_const, P, DOS)
     assert ratio == pytest.approx(direct, rel=1e-8)
     assert ratio > 0.0
 
@@ -311,7 +311,7 @@ def test_thermo_curve_assembly(tc_const):
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
     surf = sweep(ts, DISC, OPTS, tc=tc_const)
-    curve = build_thermo_curve(surf, DISC, DOS, 1e-10)
+    curve = build_thermo_curve(surf, DISC, DOS)
     below = ts < tc_const
     assert np.all(curve.psi[below] < 0.0)
     assert np.all(curve.psi[~below] == 0.0)
