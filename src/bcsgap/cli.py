@@ -114,10 +114,11 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    disc = _disc(cfg)
+    disc, opts = _disc(cfg), _opts(cfg)
     tau2 = solve_tau(cfg.params.u2, cfg.params)
     ts = _t_grid(args, cfg, tau2)
-    surface = sweep(ts, disc, _opts(cfg))
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    surface = sweep(ts, disc, opts, tc=tc)
     n = disc.grid.count
     t_col = np.repeat(ts, n)
     x_col = np.tile(disc.grid.nodes, ts.size)
@@ -156,10 +157,11 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
-    disc = _disc(cfg)
+    disc, opts = _disc(cfg), _opts(cfg)
     tau2 = solve_tau(cfg.params.u2, cfg.params)
     ts = _t_grid(args, cfg, tau2)
-    surface = sweep(ts, disc, _opts(cfg))
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    surface = sweep(ts, disc, opts, tc=tc)
     curve = build_thermo_curve(surface, disc, cfg.dos)
     path = _out_path(args, "thermo.csv")
     _write_csv(path, ["T", "omega_n", "psi", "dpsi_dT", "cv_normal", "cv_super"],

@@ -11,20 +11,23 @@ interpolant of the grid values F c, which is homogeneous of degree one.
 Every linearization of the map is the r-by-r matrix core(w) = (Gw w)^T Ft:
 the Newton Jacobian, du/dT, and the operator linearized at u = 0.
 
-The production iteration is Newton's method from the image of the upper
-envelope Delta_2(T), a supersolution (Au <= u).  The map is concave in u, so
-Newton iterates from a supersolution stay above the fixed point and the step
-count does not grow as T approaches T_c, where plain Picard contracts at
-roughly 1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it
-runs from subsolution seeds and whenever residual histories are recorded.
-With measured residual ratio q its distance to the fixed point is about
+The production iteration is Newton's method from the image of the constant
+Delta_2(0), a supersolution (Au <= u) at every T: every kernel value lies
+below u_2, and gap_rhs(u_2, T, D) falls with D, through 1 at
+Delta_2(T) <= Delta_2(0).  The map is concave in u, so Newton iterates from
+a supersolution stay above the fixed point and the step count does not grow
+as T approaches T_c, where plain Picard contracts at roughly
+1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it runs
+from subsolution seeds and whenever residual histories are recorded.  With
+measured residual ratio q its distance to the fixed point is about
 residual * q / (1 - q); it stops only when that estimate is inside the
 tolerance, so a slow contraction cannot terminate on a deceptively small
 residual.
 
-T_c is found by bisecting on the Perron root of core(tanh(xi/2T)/xi)
-crossing 1, the exact zero/nonzero boundary of the iterated map, to
-1e-8 * tau_2; two solves at resolvable offsets confirm it.
+T_c is where the Perron root of core(tanh(xi/2T)/xi), the map linearized at
+u = 0, falls through 1 as T rises: the exact zero/nonzero boundary of the
+iterated map.  find_Tc bisects on that test, to 1e-8 * tau_2, and it is the
+test of solve_at_T's zero shortcut.
 """
 from __future__ import annotations
 
@@ -116,12 +119,6 @@ class ContractionReport:
     alpha_argmax: tuple  # (T, x)
 
 
-# Picard reference: after this many steps without a falling residual, damp
-# the steps by this factor
-_DAMPING_PATIENCE = 5
-_DAMPING = 0.5
-
-
 @dataclass
 class SolverOpts:
     tol: float | None = None
@@ -130,7 +127,6 @@ class SolverOpts:
     t_tol: float | None = None
     seed: np.ndarray | None = None
     record_residuals: bool = False
-    confirm_tc: bool = True
 
     def resolved_tol(self, delta2_zero: float) -> float:
         return self.tol if self.tol is not None else 1e-10 * delta2_zero
@@ -202,6 +198,12 @@ def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
             -u / (2.0 * t * t) * s2)
 
 
+def _supercritical(disc: Discretization, t: float) -> bool:
+    """Whether the map linearized at u = 0 has Perron root above 1 at T = t."""
+    w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
+    return disc.spectral_radius(w) > 1.0
+
+
 def apply_A(u: GapSlice, disc: Discretization) -> GapSlice:
     """One application of the gap operator to a slice."""
     out = disc.kernel_apply(_gap_terms(disc, disc.interp(u.values), u.T)[0])
@@ -238,16 +240,16 @@ def solve_at_T(t: float, disc: Discretization,
                opts: SolverOpts | None = None) -> GapSlice:
     """Fixed point of the gap operator at one temperature.
 
-    Iterates on the kernel coefficients c from the image of the upper
-    envelope Delta_2(T) (or of opts.seed, on the grid nodes); residuals and
-    steps are measured on the grid values F c.  At and above tau_2, and
-    wherever the operator linearized at zero is subcritical, the zero slice
-    is returned outright.  Each iteration takes a Newton step while the
-    iterate is a supersolution (u - Au >= -tol everywhere) and stops once the
+    Iterates on the kernel coefficients c from the image of the constant
+    Delta_2(0) (or of opts.seed, on the grid nodes); residuals and steps are
+    measured on the grid values F c.  At and above tau_2, and wherever the
+    operator linearized at zero is subcritical (T >= T_c), the zero slice is
+    returned outright.  Each iteration takes a Newton step while the iterate
+    is a supersolution (u - Au >= -tol everywhere) and stops once the
     residual and the step are inside the tolerance, or the residual is
     inside it and stops falling.  From a subsolution seed, and always when
     opts.record_residuals is set, it takes plain Picard steps with the
-    damping fallback and the contraction-scaled stopping rule instead.
+    contraction-scaled stopping rule instead.
     Iterates falling below a quarter of the zero threshold collapse to the
     exact zero slice (the operator fixes zero exactly).  An exhausted
     iteration budget raises NumericalError carrying the last iterate.
@@ -270,16 +272,15 @@ def solve_at_T(t: float, disc: Discretization,
     # Subcritical operator: the only nonnegative fixed point is zero, which
     # plain iteration from the upper envelope would approach at a crawl for T
     # just above the transition.  The zero slice is exact there.
-    w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
-    if disc.spectral_radius(w) <= 1.0:
+    if not _supercritical(disc, t):
         return result(zero, 0, 0.0)
 
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
     zthr = opts.resolved_zero_threshold(d20)
 
-    seed = (np.full_like(x, solve_simple_gap(t, params.u2, params))
-            if opts.seed is None else np.array(opts.seed, dtype=float))
+    seed = (np.full_like(x, d20) if opts.seed is None
+            else np.array(opts.seed, dtype=float))
     if seed.shape != x.shape:
         raise ConfigError("seed shape does not match the energy grid")
     c = disc.Gw.T @ _gap_terms(disc, disc.interp(seed), t)[0]
@@ -287,8 +288,6 @@ def solve_at_T(t: float, disc: Discretization,
     res_prev = np.inf
     ratios = []
     at_floor = False
-    no_decrease = 0
-    damping = 1.0
     for it in range(1, opts.max_iter + 1):
         phi, dphi_du, _ = _gap_terms(disc, disc.Ft @ c, t)
         g = disc.Gw.T @ phi
@@ -304,12 +303,6 @@ def solve_at_T(t: float, disc: Discretization,
             ratios.append(res / res_prev)
             if len(ratios) > 5:
                 ratios.pop(0)
-        if res >= res_prev:
-            no_decrease += 1
-            if no_decrease >= _DAMPING_PATIENCE:
-                damping = _DAMPING
-        else:
-            no_decrease = 0
         res_prev = res
 
         if history is None and float(np.min(f)) >= -tol:
@@ -319,7 +312,7 @@ def solve_at_T(t: float, disc: Discretization,
             c_next = c - step
             done = res <= tol and float(np.max(np.abs(disc.F @ step))) <= tol
         else:
-            c_next = g if damping == 1.0 else c - damping * (c - g)
+            c_next = g
             q = max(ratios) if ratios else 0.0
             done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= tol
 
@@ -335,9 +328,8 @@ def solve_at_T(t: float, disc: Discretization,
 
 
 def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
-          tc: float | None = None, attach_tc: bool = True) -> GapSurface:
+          tc: float | None = None) -> GapSurface:
     """Independent per-temperature solves assembled in grid order."""
-    opts = opts or SolverOpts()
     params = disc.kernel.params
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0):
@@ -347,9 +339,6 @@ def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
         raise ConfigError("temperature grid must lie within [0, tau_2]")
 
     slices = [solve_at_T(float(t), disc, opts) for t in ts]
-
-    if attach_tc and tc is None:
-        tc = find_Tc(disc.kernel, params, opts, disc.grid)
     return GapSurface(ts, slices, tc)
 
 
@@ -358,9 +347,9 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
             grid: EnergyGrid | None = None) -> float:
     """Transition temperature: boundary of the zero-solution region.
 
-    Bisection on [tau_1, tau_2] against the zero predicate, evaluated through
-    the Perron eigenvalue of the linearized operator (see module docstring),
-    then confirmed by direct solves on both sides.
+    Bisection on [tau_1, tau_2] against the Perron test behind solve_at_T's
+    zero shortcut (see module docstring): solves from T_c up return the zero
+    slice, and solves below it a nonzero fixed point.
     """
     opts = opts or SolverOpts()
     if grid is None:
@@ -370,36 +359,19 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
     tau2 = solve_tau(params.u2, params)
     t_tol = opts.resolved_t_tol(tau2)
 
-    def excess(t):
-        return disc.spectral_radius(np.tanh(disc.qn / (2.0 * t)) / disc.qn) - 1.0
-
     lo, hi = tau1, tau2
-    f_lo, f_hi = excess(lo), excess(hi)
-    if not (f_lo >= 0.0 >= f_hi):
+    if not _supercritical(disc, lo) or _supercritical(disc, hi):
         raise NumericalError(
             "T_c bracket invalid: zero predicate has the same value at tau_1 and tau_2")
     while hi - lo > t_tol:
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
+        if _supercritical(disc, mid):
             lo = mid
         else:
             hi = mid
     # return the zero-side endpoint so a solve exactly at the reported T_c
     # lands on the subcritical fast path deterministically
-    tc = hi
-
-    if opts.confirm_tc:
-        d20 = delta_at_zero(params.u2, params)
-        zthr = opts.resolved_zero_threshold(d20)
-        m = min(0.02 * tc, 0.45 * (tc - tau1), 0.45 * (tau2 - tc))
-        if m > 10 * t_tol:
-            below = solve_at_T(tc - m, disc, opts)
-            above = solve_at_T(tc + m, disc, opts)
-            if not (below.sup() >= zthr > above.sup()):
-                raise NumericalError(
-                    "T_c confirmation failed: solves straddling the detected "
-                    "transition do not change zero classification")
-    return tc
+    return hi
 
 
 def contraction_diagnostics(disc: Discretization, tau: float,

@@ -196,7 +196,7 @@ def extract_v(disc: Discretization, opts: SolverOpts | None = None,
     """Near-transition limit v(x) of u^2/(T_c - T) from a dyadic ladder.
 
     Solves at T = T_c (1 - 2^-k) for k in ``ks``, each from the solver's
-    Delta_2(T) supersolution seed so that every rung runs Newton, fits
+    default seed, the supersolution Delta_2(0), so every rung runs Newton; fits
     u^2/(T_c - T) per node as a quadratic in (T_c - T) and reports the
     intercept with a residual that also covers ladder stability.
     """

@@ -142,7 +142,7 @@ def test_criterion_06_constant_kernel_oracle_equivalence(default_params):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     ts = np.linspace(0.0, solve_tau(p.u2, p), 33)
-    surf = sweep(ts, Discretization(k, grid), SolverOpts(), attach_tc=False)
+    surf = sweep(ts, Discretization(k, grid), SolverOpts())
     worst = 0.0
     for t, sl in zip(ts, surf.slices):
         oracle = solve_simple_gap(float(t), 0.3, p)
@@ -167,7 +167,7 @@ def test_criterion_07a_contraction_bound_feasible():
     p = validate_params(PhysicalParams(eps, 1.0, 20.0, 1.0, 0.997 * u0, 1.05 * u0))
     k = ConstantPotential(u0, p)
     grid = build_grid(p, 65)
-    opts = SolverOpts(confirm_tc=False)
+    opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
     rep = contraction_diagnostics(Discretization(k, grid), tc * (1.0 - 1e-5),
                                   opts, tc=tc)
@@ -184,7 +184,7 @@ def test_criterion_07b_iteration_ratios_below_bound(default_params):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     disc = Discretization(k, grid)
-    tc = find_Tc(k, p, SolverOpts(confirm_tc=False), grid=grid)
+    tc = find_Tc(k, p, SolverOpts(), grid=grid)
     worst = 0.0
     for frac in (0.9, 0.95, 0.98):
         sl = solve_at_T(frac * tc, disc, SolverOpts(record_residuals=True))
@@ -202,7 +202,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     disc = Discretization(k, grid)
-    opts = SolverOpts(confirm_tc=False)
+    opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
     d20 = solve_simple_gap(0.0, p.u2, p)
     tol = SolverOpts().resolved_tol(d20)

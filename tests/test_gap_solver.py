@@ -8,6 +8,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
                     cv_ratio, du_dT_at_fixed_point, extract_v, find_Tc,
                     gap_rhs, integrate, psi, solve_at_T, solve_simple_gap,
                     solve_tau, sweep, validate_params)
+import bcsgap.gap_solver as gap_solver
 from bcsgap.gap_solver import Discretization
 from bcsgap.interpolate import MonotoneCubic
 
@@ -219,7 +220,7 @@ def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
 @pytest.mark.parametrize("frac", [0.5, 0.95])
 def test_newton_matches_picard_reference(kernel, frac):
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=GRID)
+    tc = find_Tc(kernel, P, SolverOpts(), grid=GRID)
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
     newton = solve_at_T(frac * tc, disc, OPTS)
@@ -233,7 +234,7 @@ def test_picard_stops_at_the_roundoff_floor():
     # budget; ratios measured there are noise and must not block the stop
     grid = build_grid(P, 33)
     disc = Discretization(K, grid)
-    tc = find_Tc(K, P, SolverOpts(confirm_tc=False), grid=grid)
+    tc = find_Tc(K, P, SolverOpts(), grid=grid)
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     t = tc * (1.0 - 2.0 ** -4)
     newton = solve_at_T(t, disc, SolverOpts(tol=tol))
@@ -251,7 +252,7 @@ def test_newton_stops_at_the_roundoff_floor(kernel, n):
     # fall below tol; the solve must stop there instead of running on
     grid = build_grid(P, n)
     disc = Discretization(kernel, grid)
-    tc = find_Tc(kernel, P, SolverOpts(confirm_tc=False), grid=grid)
+    tc = find_Tc(kernel, P, SolverOpts(), grid=grid)
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     opts = SolverOpts(tol=tol, max_iter=100)
     for k in range(1, 21):
@@ -359,7 +360,7 @@ def test_iteration_budget_error_carries_state():
 def test_sweep_matches_simple_gap_curve():
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, DISC, OPTS, tc=solve_tau(0.3, P), attach_tc=False)
+    surf = sweep(ts, DISC, OPTS, tc=solve_tau(0.3, P))
     for t, sl in zip(ts, surf.slices):
         oracle = solve_simple_gap(float(t), 0.3, P)
         assert np.max(np.abs(sl.values - oracle)) < 1e-8
@@ -383,11 +384,11 @@ def test_sweep_lipschitz_with_feasible_gamma():
     k = ConstantPotential(0.3005, p)
     disc = Discretization(k, build_grid(p, 65))
     rep = contraction_diagnostics(disc, 0.9 * solve_tau(0.3005, p),
-                                  SolverOpts(confirm_tc=False))
+                                  SolverOpts())
     assert rep.gamma_feasible and rep.gamma > 0
     t3 = rep.tau3
     ts = np.linspace(0.0, t3, 9)
-    surf = sweep(ts, disc, SolverOpts(confirm_tc=False), attach_tc=False)
+    surf = sweep(ts, disc, SolverOpts())
     d20 = solve_simple_gap(0.0, p.u2, p)
     tol = SolverOpts().resolved_tol(d20)
     for i in range(len(ts) - 1):
@@ -427,9 +428,87 @@ def test_find_tc_zero_threshold_insensitive():
     assert abs(tc1 - tc2) < 10 * t_tol
 
 
+ALL_KERNELS = pytest.mark.parametrize(
+    "kernel", [K, separable_kernel(P), tabulated_kernel(P)],
+    ids=["constant", "separable", "tabulated"])
+
+
+@ALL_KERNELS
+def test_solves_straddling_tc_change_zero_classification(kernel):
+    # find_Tc runs no solve: the zero slice at and above T_c, and a nonzero
+    # one below it, are properties of solve_at_T, checked here
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    d20 = solve_simple_gap(0.0, P.u2, P)
+    t_tol = OPTS.resolved_t_tol(solve_tau(P.u2, P))
+    for m in (0.02 * tc, 10 * t_tol):
+        above = solve_at_T(tc + m, disc, OPTS)
+        assert above.iterations == 0 and np.all(above.values == 0.0)
+        assert solve_at_T(tc - m, disc, OPTS).sup() >= 1e-8 * d20
+    assert solve_at_T(tc, disc, OPTS).sup() == 0.0
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts of the solves gap_solver makes through its module globals."""
+    calls = {"solve_at_T": 0, "solve_simple_gap": 0}
+
+    def counted(name):
+        fn = getattr(gap_solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(gap_solver, name, counted(name))
+    return calls
+
+
+@ALL_KERNELS
+def test_find_tc_runs_no_solve(kernel, solve_calls):
+    find_Tc(kernel, P, OPTS, grid=GRID)
+    assert solve_calls["solve_at_T"] == 0
+
+
+@ALL_KERNELS
+def test_solve_at_t_runs_no_envelope_solve(kernel, solve_calls):
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    disc = Discretization(kernel, GRID)
+    for frac in (0.0, 0.5, 0.99):
+        solve_at_T(frac * tc, disc, OPTS)
+    assert solve_calls["solve_simple_gap"] == 0
+
+
+@ALL_KERNELS
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0 - 2.0 ** -10, 1.0 - 1e-6])
+def test_newton_from_the_default_seed_converges_quickly(kernel, frac):
+    # the constant Delta_2(0) is a supersolution at every T, so every step
+    # is a Newton step and the count stays flat up to T_c
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    sl = solve_at_T(frac * tc, disc, OPTS)
+    assert sl.sup() > 0.0
+    assert sl.iterations <= 25
+    assert sl.final_residual <= OPTS.resolved_tol(solve_simple_gap(0.0, P.u2, P))
+
+
+def test_picard_from_a_low_seed_is_undamped():
+    # the residual grows while an iterate rises from a subsolution; halving
+    # the steps there would double the iteration count
+    tc = find_Tc(K, P, OPTS, grid=GRID)
+    d20 = solve_simple_gap(0.0, P.u2, P)
+    newton = solve_at_T(0.9 * tc, DISC, OPTS)
+    low = solve_at_T(0.9 * tc, DISC,
+                     SolverOpts(seed=np.full(GRID.count, 1e-3 * d20)))
+    assert low.iterations <= 600
+    assert np.max(np.abs(low.values - newton.values)) <= 2.0 * OPTS.resolved_tol(d20)
+
+
 def test_diagnostics_report_structure():
     tc = solve_tau(0.3, P)
-    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(confirm_tc=False),
+    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(),
                                   tc=tc)
     assert rep.a > 0 and rep.b > 0
     assert rep.tau3 == pytest.approx(rep.tau0 / 2.0)
@@ -441,7 +520,7 @@ def test_diagnostics_report_structure():
     # at T = tau
     assert rep.alpha_argmax[0] == rep.tau
     with pytest.raises(ConfigError):
-        contraction_diagnostics(DISC, 2.0 * tc, SolverOpts(confirm_tc=False),
+        contraction_diagnostics(DISC, 2.0 * tc, SolverOpts(),
                                 tc=tc)
 
 
@@ -449,7 +528,7 @@ def test_diagnostics_a_is_the_sup_over_the_low_temperature_band():
     # a is the value at tau_3; the sup over a 65-point Delta_1 ladder on
     # [0, tau_3] must be that same value
     tc = solve_tau(0.3, P)
-    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(confirm_tc=False),
+    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(),
                                   tc=tc)
     qn, qw = DISC.qn, DISC.qw
     ladder = []
@@ -504,7 +583,7 @@ def test_coded_alpha_exceeds_perron_root():
     p = validate_params(PhysicalParams(eps, 1.0, 20.0, 1.0, 0.997 * u0, 1.05 * u0))
     k = ConstantPotential(u0, p)
     grid = build_grid(p, 65)
-    opts = SolverOpts(confirm_tc=False)
+    opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
     tau = tc * (1.0 - 1e-5)
     rep = contraction_diagnostics(Discretization(k, grid), tau, opts, tc=tc)
