@@ -3,8 +3,8 @@
 Every run is deterministic for a fixed configuration; CSV numbers are written
 with 17 significant digits so files round-trip doubles and diff cleanly.
 Each CSV gets a .meta sidecar echoing the resolved configuration together
-with the derived temperatures and thresholds, so every number in a summary is
-recomputable from the sidecar alone.
+with the derived temperatures and the solver tolerance, so every number in a
+summary is recomputable from the sidecar alone.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -58,10 +58,7 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
     data["derived.tau2"] = solve_tau(p.u2, p)
     data["derived.tau0"] = solve_tau0(p)
     data["derived.tau3"] = tau3(p)
-    opts = _opts(cfg)
-    d20 = delta_at_zero(p.u2, p)
-    data["derived.zero_threshold"] = opts.resolved_zero_threshold(d20)
-    data["derived.solver_tol"] = opts.resolved_tol(d20)
+    data["derived.solver_tol"] = _opts(cfg).resolved_tol(delta_at_zero(p.u2, p))
     if extra:
         data.update(extra)
     return data

@@ -1,9 +1,10 @@
 """Critical magnetic field H_c(T) = sqrt(-8 pi Psi(T)) and its derivative.
 
-Units are natural: H_c^2/(8 pi) is an energy density and k_B = 1.  Within
-2^-10 of the transition the 0/0 quotient in the derivative is replaced by its
-exact limit (the closed-form slope at T_c), and the field itself by the
-linear law with that slope.
+Units are natural: H_c^2/(8 pi) is an energy density and k_B = 1.  The curve
+reads the solved slices: below T_c the field and its slope come from Psi and
+dPsi/dT of the slice, which stay accurate all the way to the transition; on
+the zero slices from T_c up the field is 0, and the slope at T_c is its
+closed-form limit.
 """
 from __future__ import annotations
 
@@ -13,17 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gap_solver import (Discretization, GapSlice, SolverOpts,
-                         du_dT_at_fixed_point, solve_at_T)
+from .gap_solver import Discretization, GapSlice, SolverOpts, solve_at_T
 from .model import PhysicalParams
-from .thermo import VFunction, _v_squared_g_deta, psi, psi_derivative
+from .thermo import VFunction, _psi_curve, _v_squared_g_deta, psi
 
 
-def hc(t: float, psi_value: float, atol: float = 0.0) -> float:
-    """Field from the potential: sqrt(-8 pi Psi)."""
-    if psi_value > atol:
+def hc(t: float, psi_value: float) -> float:
+    """Field from the potential: sqrt(-8 pi Psi), +0.0 at Psi = 0."""
+    if psi_value > 0.0:
         raise NumericalError(f"positive Psi ({psi_value:g}) has no real field")
-    return math.sqrt(max(-8.0 * math.pi * psi_value, 0.0))
+    return math.sqrt(8.0 * math.pi * abs(psi_value))
 
 
 def hc_slope(t: float, psi_value: float, dpsi_value: float) -> float:
@@ -63,42 +63,30 @@ class LinearLawReport:
     n_points: int
 
 
-_NEAR_TC = 2.0 ** -10
-
-
 def build_hc_curve(surface, v: VFunction, disc: Discretization,
                    opts: SolverOpts | None = None) -> HcCurve:
-    """Field and slope over a solved surface, with closed-form endpoints."""
-    opts = opts or SolverOpts()
+    """Field and slope over a solved surface.
+
+    Zero slices give the field 0, with the closed-form transition slope at
+    and below T_c and slope 0 above it; the slope at T = 0 is 0.
+    """
     tc = surface.tc
     if tc is None:
         raise NumericalError("surface carries no transition temperature")
     slope_tc = slope_at_tc(v, disc.kernel.params, tc)
 
     ts = surface.t_grid
+    ps, dps = _psi_curve(surface, disc)
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
-    for i, sl in enumerate(surface.slices):
-        t = float(ts[i])
-        if t >= tc or (tc - t) / tc < _NEAR_TC:
-            rel = max(1.0 - t / tc, 0.0)
-            h[i] = rel * tc * abs(slope_tc)
+    for i, t in enumerate(ts):
+        h[i] = hc(t, ps[i])
+        if ps[i] == 0.0:
             dh[i] = slope_tc if t <= tc else 0.0
-            continue
-        p = psi(t, sl, disc)
-        h[i] = hc(t, p, atol=0.0 if p <= 0 else p)
-        if t == 0.0:
-            dh[i] = 0.0
         else:
-            du = du_dT_at_fixed_point(sl, disc)
-            dp = psi_derivative(t, sl, du, disc)
-            dh[i] = hc_slope(t, p, dp)
+            dh[i] = 0.0 if t == 0.0 else hc_slope(t, ps[i], dps[i])
 
-    if ts[0] == 0.0:
-        slice0 = surface.slices[0]
-    else:
-        slice0 = solve_at_T(0.0, disc, opts)
-    h0 = hc_zero(slice0, disc)
+    h0 = h[0] if ts[0] == 0.0 else hc_zero(solve_at_T(0.0, disc, opts), disc)
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 

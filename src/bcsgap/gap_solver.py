@@ -123,17 +123,12 @@ class ContractionReport:
 class SolverOpts:
     tol: float | None = None
     max_iter: int = 400_000
-    zero_threshold: float | None = None
     t_tol: float | None = None
     seed: np.ndarray | None = None
     record_residuals: bool = False
 
     def resolved_tol(self, delta2_zero: float) -> float:
         return self.tol if self.tol is not None else 1e-10 * delta2_zero
-
-    def resolved_zero_threshold(self, delta2_zero: float) -> float:
-        return (self.zero_threshold if self.zero_threshold is not None
-                else 1e-8 * delta2_zero)
 
     def resolved_t_tol(self, tau2: float) -> float:
         return self.t_tol if self.t_tol is not None else 1e-8 * tau2
@@ -249,10 +244,8 @@ def solve_at_T(t: float, disc: Discretization,
     residual and the step are inside the tolerance, or the residual is
     inside it and stops falling.  From a subsolution seed, and always when
     opts.record_residuals is set, it takes plain Picard steps with the
-    contraction-scaled stopping rule instead.
-    Iterates falling below a quarter of the zero threshold collapse to the
-    exact zero slice (the operator fixes zero exactly).  An exhausted
-    iteration budget raises NumericalError carrying the last iterate.
+    contraction-scaled stopping rule instead.  An exhausted iteration budget
+    raises NumericalError carrying the last iterate.
     """
     if t < 0:
         raise ConfigError("temperature must be nonnegative")
@@ -277,7 +270,6 @@ def solve_at_T(t: float, disc: Discretization,
 
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
-    zthr = opts.resolved_zero_threshold(d20)
 
     seed = (np.full_like(x, d20) if opts.seed is None
             else np.array(opts.seed, dtype=float))
@@ -316,8 +308,6 @@ def solve_at_T(t: float, disc: Discretization,
             q = max(ratios) if ratios else 0.0
             done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= tol
 
-        if float(np.max(disc.F @ c_next)) < 0.25 * zthr:
-            return result(zero, it, 0.0)
         if done:
             return result(c_next, it, res)
         c = c_next

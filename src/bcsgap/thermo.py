@@ -294,30 +294,37 @@ class ThermoCurve:
     cv_super: np.ndarray
 
 
+def _psi_curve(surface, disc: Discretization):
+    """Psi and dPsi/dT on every slice of a solved surface.
+
+    Both are 0 on zero slices (T >= T_c), and dPsi/dT is 0 at T = 0.
+    """
+    n = len(surface.slices)
+    ps, dps = np.zeros(n), np.zeros(n)
+    for i, sl in enumerate(surface.slices):
+        t = float(surface.t_grid[i])
+        if sl.sup() == 0.0:
+            continue
+        ps[i] = psi(t, sl, disc)
+        if t > 0.0:
+            dps[i] = psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
+    return ps, dps
+
+
 def build_thermo_curve(surface, disc: Discretization,
                        dos: DosModel) -> ThermoCurve:
     """Per-temperature thermodynamic records over a solved surface.
 
     cv_super uses second central differences of Omega_N + Psi on the curve
-    grid (one-sided at the ends); everything else is analytic.
+    grid (one-sided at the ends), and is cv_normal wherever Psi vanishes
+    identically; everything else is analytic.
     """
     params = disc.kernel.params
     ts = surface.t_grid
     n = ts.size
-    om_n = np.empty(n)
-    ps = np.empty(n)
-    dps = np.empty(n)
-    cvn = np.empty(n)
-    for i, sl in enumerate(surface.slices):
-        t = float(ts[i])
-        om_n[i] = omega_normal(t, params, dos)
-        ps[i] = psi(t, sl, disc)
-        cvn[i] = cv_normal(t, params, dos)
-        if t == 0.0 or sl.sup() == 0.0:
-            dps[i] = 0.0
-        else:
-            du = du_dT_at_fixed_point(sl, disc)
-            dps[i] = psi_derivative(t, sl, du, disc)
+    om_n = np.array([omega_normal(float(t), params, dos) for t in ts])
+    cvn = np.array([cv_normal(float(t), params, dos) for t in ts])
+    ps, dps = _psi_curve(surface, disc)
 
     total = om_n + ps
     cvs = np.empty(n)
@@ -328,4 +335,4 @@ def build_thermo_curve(surface, disc: Discretization,
         f2 = 2.0 * (total[j - 1] / (h1 * (h1 + h2)) - total[j] / (h1 * h2)
                     + total[j + 1] / (h2 * (h1 + h2)))
         cvs[i] = -ts[i] * f2
-    return ThermoCurve(ts, om_n, ps, dps, cvn, cvs)
+    return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cvs))

@@ -171,7 +171,7 @@ def test_cli_simple_gap_csv(tmp_path):
     assert len(lines) == 10
     meta = (tmp_path / "simple_gap.csv.meta").read_text()
     assert "derived.tau3" in meta and "config.epsilon" in meta
-    assert "derived.zero_threshold" in meta
+    assert "derived.solver_tol" in meta
 
 
 def test_cli_sweep_deterministic(tmp_path):

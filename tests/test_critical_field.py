@@ -161,3 +161,48 @@ def test_linear_law(tc, v, curve):
     assert 1.70 <= law.coeff_over_hc0 <= 1.78
     # the fitted line passes through zero at the transition
     assert curve.hc[curve.t == tc][0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_hc_is_positive_zero_at_zero_psi():
+    assert math.copysign(1.0, hc(0.0, 0.0)) == 1.0
+    assert math.copysign(1.0, hc(0.0, -0.0)) == 1.0
+
+
+def test_hc_curve_is_the_solved_field_through_tc(tc, v):
+    # no splice near T_c: every row below it is the field of its own slice,
+    # and the slope of that field tends to the closed-form transition slope
+    ks = np.arange(3, 25)
+    ts = np.unique(np.concatenate([np.linspace(0.0, tc, 25), tc * (1.0 - 2.0 ** -ks)]))
+    surface = sweep(ts, DISC, OPTS, tc=tc)
+    curve = build_hc_curve(surface, v, DISC, OPTS)
+    live = [i for i, sl in enumerate(surface.slices) if sl.sup() > 0.0]
+    assert [curve.t[i] for i in live] == list(ts[ts < tc])
+    for i in live:
+        t = float(ts[i])
+        assert curve.hc[i] == pytest.approx(hc(t, psi(t, surface.slices[i], DISC)),
+                                            rel=1e-12)
+    s_tc = slope_at_tc(v, P, tc)
+    for k in ks[ks >= 11]:
+        i = int(np.flatnonzero(ts == tc * (1.0 - 2.0 ** -float(k)))[0])
+        assert abs(curve.dhc_dT[i] / s_tc - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("eps,u0", [(1e-3, 0.3), (1e-3, 0.27), (1e-4, 0.32)])
+def test_hc_zero_matches_mpmath(eps, u0):
+    # Delta(0) is the root of 1 = u0 (asinh(om/D) - asinh(eps/D)), and
+    # H_c(0)^2 = 8 pi n0 (integral of (E - xi)^2 / E over the shell)
+    mpmath = pytest.importorskip("mpmath")
+    p = validate_params(PhysicalParams(eps, 1.0, 20.0, 1.0, 0.25, 0.35))
+    with mpmath.workdps(40):
+        om, e0 = mpmath.mpf(p.hbar_omega_d), mpmath.mpf(p.epsilon)
+        d = mpmath.findroot(
+            lambda d: u0 * (mpmath.asinh(om / d) - mpmath.asinh(e0 / d)) - 1, 0.05)
+
+        def integrand(xi):
+            e = mpmath.sqrt(xi * xi + d * d)
+            return (e - xi) ** 2 / e
+
+        ref = float(mpmath.sqrt(8 * mpmath.pi * p.n0
+                                * mpmath.quad(integrand, [e0, d, om])))
+    disc = Discretization(ConstantPotential(u0, p), build_grid(p, 129))
+    assert hc_zero(solve_at_T(0.0, disc, OPTS), disc) == pytest.approx(ref, rel=1e-12)

@@ -418,16 +418,6 @@ def test_find_tc_between_envelope_temperatures():
     assert solve_tau(P.u1, P) <= tc <= solve_tau(P.u2, P)
 
 
-def test_find_tc_zero_threshold_insensitive():
-    tau2 = solve_tau(P.u2, P)
-    t_tol = OPTS.resolved_t_tol(tau2)
-    tc1 = find_Tc(K, P, OPTS, grid=GRID)
-    d20 = solve_simple_gap(0.0, P.u2, P)
-    half = SolverOpts(zero_threshold=0.5e-8 * d20)
-    tc2 = find_Tc(K, P, half, grid=GRID)
-    assert abs(tc1 - tc2) < 10 * t_tol
-
-
 ALL_KERNELS = pytest.mark.parametrize(
     "kernel", [K, separable_kernel(P), tabulated_kernel(P)],
     ids=["constant", "separable", "tabulated"])

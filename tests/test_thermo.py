@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
-                    PhysicalParams, SolverOpts, SqrtBandDos, build_grid,
+                    PhysicalParams, SeparablePotential, SolverOpts,
+                    SqrtBandDos, TabulatedPotential, build_grid,
                     build_thermo_curve, cv_normal, cv_ratio, delta_cv,
                     extract_v, find_Tc, g_weight, integrate, integrate_tail,
                     omega_normal, psi, psi_derivative,
@@ -319,3 +320,30 @@ def test_thermo_curve_assembly(tc_const):
     # above the transition the curve reduces to the normal branch
     above = ts > tc_const
     assert np.allclose(curve.cv_super[above][1:], curve.cv_normal[above][1:], rtol=1e-5)
+
+
+def _separable(params):
+    fn = np.linspace(params.epsilon, params.hbar_omega_d, 9)
+    fv = np.sqrt(0.30 + 0.04 * np.cos(np.pi * (fn - params.epsilon)
+                                      / (params.hbar_omega_d - params.epsilon)))
+    return SeparablePotential(fn, fv, params)
+
+
+def _tabulated(params):
+    nodes = np.linspace(params.epsilon, params.hbar_omega_d, 5)
+    return TabulatedPotential(nodes, 0.29 + 0.02 * np.sin(np.add.outer(nodes, nodes)),
+                              params)
+
+
+@pytest.mark.parametrize("kernel", [K, _separable(P), _tabulated(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_cv_super_is_cv_normal_where_psi_vanishes(kernel):
+    # from T_c up Psi is identically zero, so the superconducting specific
+    # heat is the normal one on every such row, the first above T_c included
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    ts = np.linspace(0.0, solve_tau(P.u2, P), 33)
+    curve = build_thermo_curve(sweep(ts, disc, OPTS, tc=tc), disc, DOS)
+    zero = curve.psi == 0.0
+    assert np.array_equal(zero, ts >= tc)
+    assert np.array_equal(curve.cv_super[zero], curve.cv_normal[zero])
