@@ -17,7 +17,7 @@ from .gap_solver import (ContractionReport, Discretization, EnergyGrid,
 from .thermo import (ThermoCurve, VFunction, build_thermo_curve, cv_normal,
                      cv_ratio, delta_cv, extract_v, g_weight, omega_normal,
                      psi, psi_derivative, psi_second_derivative_at_tc,
-                     universal_constant, v_selfconsistency_residual)
+                     universal_constant)
 from .critical_field import (HcCurve, LinearLawReport, build_hc_curve, hc,
                              hc_slope, hc_zero, linear_law_check, slope_at_tc)
 from .config import RunConfig, load_config
@@ -38,7 +38,6 @@ __all__ = [
     "ThermoCurve", "VFunction", "build_thermo_curve", "cv_normal", "cv_ratio",
     "delta_cv", "extract_v", "g_weight", "omega_normal", "psi",
     "psi_derivative", "psi_second_derivative_at_tc", "universal_constant",
-    "v_selfconsistency_residual",
     "HcCurve", "LinearLawReport", "build_hc_curve", "hc", "hc_slope",
     "hc_zero", "linear_law_check", "slope_at_tc",
     "RunConfig", "load_config",

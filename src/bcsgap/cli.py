@@ -208,7 +208,7 @@ def cmd_hc(args, cfg: RunConfig) -> int:
     ts = ts[(ts >= 0.0) & (ts <= tc)]
     surface = sweep(ts, disc, opts, tc=tc)
     curve = build_hc_curve(surface, v, disc, opts)
-    law = linear_law_check(curve, v, cfg.params)
+    law = linear_law_check(curve)
     path = _out_path(args, "hc.csv")
     _write_csv(path, ["T", "hc", "dhc_dT"], [curve.t, curve.hc, curve.dhc_dT])
     summary = {

@@ -90,8 +90,7 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 
-def linear_law_check(curve: HcCurve, v: VFunction, params: PhysicalParams,
-                     t_window: float = 0.13) -> LinearLawReport:
+def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     """Fit the near-transition linear law and compare against the closed form.
 
     Points with 0 < 1 - T/T_c <= t_window enter a quadratic fit of

@@ -7,10 +7,9 @@ the quadrature nodes), with all differences of nearly equal quantities
 form; near the transition Psi shrinks like (T_c - T)^2 and would otherwise
 drown in roundoff.
 
-The limit function v(x) = -d(u^2)/dT at T_c is extracted from a dyadic ladder
-of near-transition solves: the quotient u^2/(T_c - T) is fitted per energy
-node by a quadratic polynomial in (T_c - T) and v is its intercept, which
-suppresses the curvature bias a plain straight-line slope would pick up.
+The limit function v(x) = -d(u^2)/dT at T_c, which carries the jump in the
+specific heat and the slope of H_c at T_c, is read off the bifurcation of the
+iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve.
 """
 from __future__ import annotations
 
@@ -20,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
 from .gap_solver import (Discretization, GapSlice, SolverOpts,
-                         du_dT_at_fixed_point, find_Tc, solve_at_T)
+                         du_dT_at_fixed_point, find_Tc)
 from .interpolate import MonotoneCubic
 from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss
@@ -186,45 +184,50 @@ def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
 
 @dataclass
 class VFunction:
+    """v(x) = -d(u^2)/dT at T_c on the grid nodes x.
+
+    fit_residual is |m| * v, where m is the relative mismatch between the
+    two forms of the specific-heat jump: the entropy form, linear in v, and
+    the integral of v^2 g that delta_cv takes, quadratic in v.  They agree
+    only when the amplitude of v is right.
+    """
     x: np.ndarray
     values: np.ndarray
     fit_residual: np.ndarray
 
 
 def extract_v(disc: Discretization, opts: SolverOpts | None = None,
-              tc: float | None = None, ks=range(3, 11)) -> VFunction:
-    """Near-transition limit v(x) of u^2/(T_c - T) from a dyadic ladder.
+              tc: float | None = None) -> VFunction:
+    """Near-transition limit v(x) of u^2/(T_c - T), from the bifurcation.
 
-    Solves at T = T_c (1 - 2^-k) for k in ``ks``, each from the solver's
-    default seed, the supersolution Delta_2(0), so every rung runs Newton; fits
-    u^2/(T_c - T) per node as a quadratic in (T_c - T) and reports the
-    intercept with a residual that also covers ladder stability.
+    Let phi and chi be the right and left Perron vectors of the map
+    linearized at zero, A = core(tanh(xi/2T_c)/xi).  To leading order the
+    branch leaving c = 0 at T_c is c = a sqrt(T_c - T) phi, with
+    a^2 = chi A' phi / chi N(phi) (Lyapunov-Schmidt reduction at a simple
+    eigenvalue).  A' = dA/dT = core(-sech^2(xi/2T_c)/2T_c^2), and
+    N(phi) = Gw^T[(Ft phi)^3 k3] is the cubic term of the map, with
+    k3 = (1/2 xi) d/dxi[tanh(xi/2T_c)/xi] = g(xi/2T_c)/(16 T_c^3).  The core
+    is positive and A' and N negative, so a^2 > 0; v = a^2 (F phi)^2.  No
+    gap equation is solved; opts reaches only find_Tc when tc is not given.
     """
-    opts = opts or SolverOpts()
+    params = disc.kernel.params
     if tc is None:
-        tc = find_Tc(disc.kernel, disc.kernel.params, opts, disc.grid)
+        tc = find_Tc(disc.kernel, params, opts, disc.grid)
+    qn, qw = disc.qn, disc.qw
+    s2 = sech2(qn / (2.0 * tc))
+    a = disc.core(np.tanh(qn / (2.0 * tc)) / qn)
+    vals, right = np.linalg.eig(a)
+    phi = right[:, np.argmax(vals.real)].real
+    vals, left = np.linalg.eig(a.T)
+    chi = left[:, np.argmax(vals.real)].real
+    ut = disc.Ft @ phi
+    cubic = disc.Gw.T @ (ut ** 3 * g_weight(qn / (2.0 * tc)) / (16.0 * tc ** 3))
+    a2 = (chi @ disc.core(-s2 / (2.0 * tc * tc)) @ phi) / (chi @ cubic)
 
-    ks = list(ks)
-    deltas = np.array([2.0 ** -k for k in ks])
-    z = np.empty((len(ks), disc.grid.count))
-    for i, d in enumerate(deltas):
-        sl = solve_at_T(tc * (1.0 - d), disc, opts)
-        z[i] = sl.values ** 2 / (tc * d)
-
-    dh = deltas  # already dimensionless: (T_c - T)/T_c
-    coef = np.polynomial.polynomial.polyfit(dh, z, 2)
-    v = coef[0]
-    fit = np.polynomial.polynomial.polyval(dh, coef)
-    rms = np.sqrt(np.mean((fit - z.T) ** 2, axis=1))
-
-    # stability: refit without the two shallowest rungs
-    coef_deep = np.polynomial.polynomial.polyfit(dh[2:], z[2:], 2)
-    resid = np.maximum(rms, np.abs(v - coef_deep[0]))
-
-    if np.any(v <= 0):
-        raise NumericalError(
-            "extracted near-transition slope must be positive at every node")
-    return VFunction(disc.grid.nodes, v, resid)
+    values = a2 * (disc.F @ phi) ** 2
+    jump = delta_cv(VFunction(disc.grid.nodes, values, None), params, tc)
+    entropy = params.n0 / (2.0 * tc) * float(qw @ (a2 * ut * ut * s2))
+    return VFunction(disc.grid.nodes, values, abs(jump / entropy - 1.0) * values)
 
 
 def _v_squared_g_deta(v: VFunction, tc: float) -> float:
@@ -238,23 +241,6 @@ def psi_second_derivative_at_tc(v: VFunction, params: PhysicalParams,
                                 tc: float) -> float:
     """Curvature of psi at the transition (negative)."""
     return params.n0 / (8.0 * tc * tc) * _v_squared_g_deta(v, tc)
-
-
-def v_selfconsistency_residual(v: VFunction, disc: Discretization,
-                               tc: float) -> float:
-    """Sup-norm gap between v and its own fixed-point image F.
-
-    F(x) is the square of the kernel integral of sqrt(v)/xi * tanh(xi/2T_c);
-    for the true limit function both sides coincide.
-    """
-    return float(np.max(np.abs(v.values - v_fixed_point_image(v, disc, tc))))
-
-
-def v_fixed_point_image(v: VFunction, disc: Discretization,
-                        tc: float) -> np.ndarray:
-    vv = np.maximum(disc.interp(v.values), 0.0)
-    f = disc.kernel_apply(np.sqrt(vv) / disc.qn * np.tanh(disc.qn / (2.0 * tc)))
-    return f * f
 
 
 def delta_cv(v: VFunction, params: PhysicalParams, tc: float) -> float:

@@ -254,15 +254,14 @@ def test_criterion_08_thermodynamic_endpoints(weak):
 
 @pytest.fixture(scope="module")
 def hc_bundle(weak):
-    p, disc, opts, tc, v = (weak[key] for key in
-                            ("p", "disc", "opts", "tc", "v"))
+    disc, opts, tc, v = (weak[key] for key in ("disc", "opts", "tc", "v"))
     base = np.linspace(0.0, tc, 25)
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
     ts = np.unique(np.concatenate([base, ladder]))
     t0 = time.time()
     surf = sweep(ts, disc, opts, tc=tc)
     curve = build_hc_curve(surf, v, disc, opts)
-    return dict(curve=curve, law=linear_law_check(curve, v, p),
+    return dict(curve=curve, law=linear_law_check(curve),
                 runtime=time.time() - t0)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bcsgap import ConfigError, Discretization, cli, load_config
+import bcsgap.gap_solver as gap_solver
+import bcsgap.thermo as thermo
 from bcsgap.thermo import JUMP_RATIO_WIDE_SHELL
 
 
@@ -242,6 +244,25 @@ def test_cli_vfun_and_hc(tmp_path):
     meta = (tmp_path / "hc.csv.meta").read_text()
     assert "hc0" in meta and "slope_at_Tc" in meta
     assert "coeff_over_hc0" in meta
+
+
+def test_cli_hc_solves_each_temperature_once(tmp_path, monkeypatch):
+    # v comes from the bifurcation at T_c, not from solves of its own, so the
+    # sweep is the only caller and no temperature is solved twice
+    seen = []
+    solve = gap_solver.solve_at_T
+
+    def recorded(t, *args, **kwargs):
+        seen.append(t)
+        return solve(t, *args, **kwargs)
+
+    monkeypatch.setattr(gap_solver, "solve_at_T", recorded)
+    monkeypatch.setattr(thermo, "solve_at_T", recorded, raising=False)
+    cfg = write(tmp_path / "c.cfg", "potential.type = constant\n"
+                "potential.u0 = 0.3\ngrids.energy_points = 33\n")
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet",
+                     "hc", "--t-points", "9"]) == 0
+    assert seen and len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("args, most", [

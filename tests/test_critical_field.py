@@ -156,7 +156,7 @@ def test_analytic_slope_matches_differences(tc, curve):
 
 
 def test_linear_law(tc, v, curve):
-    law = linear_law_check(curve, v, P)
+    law = linear_law_check(curve)
     assert law.fitted_coefficient == pytest.approx(law.predicted_coefficient, rel=0.02)
     assert 1.70 <= law.coeff_over_hc0 <= 1.78
     # the fitted line passes through zero at the transition

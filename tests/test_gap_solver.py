@@ -5,12 +5,15 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
                     NumericalError, PhysicalParams, SeparablePotential,
                     SolverOpts, SqrtBandDos, TabulatedPotential, apply_A,
                     apply_dA_dT, build_grid, contraction_diagnostics,
-                    cv_ratio, du_dT_at_fixed_point, extract_v, find_Tc,
-                    gap_rhs, integrate, psi, solve_at_T, solve_simple_gap,
-                    solve_tau, sweep, validate_params)
+                    cv_ratio, delta_cv, du_dT_at_fixed_point, extract_v,
+                    find_Tc, gap_rhs, hc_slope, integrate, psi,
+                    psi_derivative, slope_at_tc, solve_at_T,
+                    solve_simple_gap, solve_tau, sweep, validate_params)
 import bcsgap.gap_solver as gap_solver
 from bcsgap.gap_solver import Discretization
 from bcsgap.interpolate import MonotoneCubic
+from bcsgap.quadrature import composite_gauss
+from bcsgap.special import sech2
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
@@ -315,6 +318,52 @@ def test_jump_ratio_is_grid_independent(kernel):
         ratios.append(cv_ratio(extract_v(Discretization(kernel, grid), OPTS,
                                          tc=tc), P, dos, tc))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
+
+
+@THRESHOLD_KERNELS
+def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
+    # the entropy form of the jump, n0/(2 T_c) (integral of v sech^2), is
+    # linear in v and delta_cv's integral of v^2 g quadratic: they agree
+    # only when the amplitude of v is right
+    dos = SqrtBandDos(P.n0, P)
+    ratios = []
+    for n in (129, 257, 513):
+        grid = build_grid(P, n)
+        tc = find_Tc(kernel, P, OPTS, grid=grid)
+        v = extract_v(Discretization(kernel, grid), OPTS, tc=tc)
+        qn, qw = composite_gauss(grid.nodes)
+        entropy = P.n0 / (2.0 * tc) * float(
+            qw @ (MonotoneCubic(v.x, v.values)(qn) * sech2(qn / (2.0 * tc))))
+        assert abs(delta_cv(v, P, tc) / entropy - 1.0) <= 1e-7
+        assert np.all(v.fit_residual <= 1e-7 * v.values)
+        ratios.append(cv_ratio(v, P, dos, tc))
+    assert np.ptp(ratios) <= 1e-7 * np.mean(ratios)
+
+
+@pytest.mark.parametrize("kernel", [K, roadmap_separable_kernel(P), tabulated_kernel(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_solved_branch_tends_to_the_bifurcation(kernel):
+    # at T = T_c (1 - 2^-k), -2 u du/dT / v - 1 and the H_c slope over its
+    # closed-form limit, minus 1, are both O(T_c - T): a factor 16 in four
+    # rungs, with no floor from the way v is found
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    v = extract_v(disc, OPTS, tc=tc)
+    s_tc = slope_at_tc(v, P, tc)
+    opts = SolverOpts(tol=1e-15 * solve_simple_gap(0.0, P.u2, P))
+    v_err, slope_err = [], []
+    for k in (12, 16, 20, 24):
+        t = tc * (1.0 - 2.0 ** -k)
+        sl = solve_at_T(t, disc, opts)
+        du = du_dT_at_fixed_point(sl, disc)
+        v_err.append(np.max(np.abs(-2.0 * sl.values * du / v.values - 1.0)))
+        dh = hc_slope(t, psi(t, sl, disc), psi_derivative(t, sl, du, disc))
+        slope_err.append(abs(dh / s_tc - 1.0))
+    assert 12.0 <= v_err[0] / v_err[1] <= 20.0
+    assert 12.0 <= v_err[1] / v_err[2] <= 20.0
+    assert v_err[2] <= 2e-6
+    assert 12.0 <= slope_err[2] / slope_err[3] <= 20.0
+    assert slope_err[3] <= 1e-7
 
 
 @THRESHOLD_KERNELS

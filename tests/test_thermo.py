@@ -10,12 +10,11 @@ from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
                     extract_v, find_Tc, g_weight, integrate, integrate_tail,
                     omega_normal, psi, psi_derivative,
                     psi_second_derivative_at_tc, solve_at_T, solve_tau, sweep,
-                    universal_constant, v_selfconsistency_residual,
-                    validate_params)
+                    universal_constant, validate_params)
 from bcsgap.gap_solver import du_dT_at_fixed_point
 from bcsgap.model import eval_dos
 from bcsgap.special import sech2
-from bcsgap.thermo import VFunction, ZETA3, v_fixed_point_image
+from bcsgap.thermo import VFunction, ZETA3
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
@@ -246,26 +245,6 @@ def test_extract_v_constant_kernel(tc_const, v_const):
     assert np.mean(v.values) == pytest.approx(v0, rel=1e-2)
 
 
-def test_extract_v_ladder_depth_stability(tc_const, v_const):
-    deeper = extract_v(DISC, OPTS, tc=tc_const, ks=range(3, 12))
-    assert np.max(np.abs(deeper.values - v_const.values)) <= np.max(v_const.fit_residual)
-
-
-def test_v_selfconsistency(tc_const, v_const):
-    res = v_selfconsistency_residual(v_const, DISC, tc_const)
-    assert res <= 3.0 * np.max(v_const.fit_residual)
-
-
-def test_v_image_homogeneous_degree_one(tc_const, v_const):
-    f1 = v_fixed_point_image(v_const, DISC, tc_const)
-    for c in (2.0, 4.0):
-        vc = VFunction(v_const.x, c * v_const.values, v_const.fit_residual)
-        fc = v_fixed_point_image(vc, DISC, tc_const)
-        assert np.allclose(fc, c * f1, rtol=1e-12)
-    # constant kernel: the image is x-independent
-    assert np.ptp(f1) < 1e-12 * np.max(f1)
-
-
 def test_delta_cv_scaling_and_zero(tc_const, v_const):
     zero_v = VFunction(GRID.nodes, np.zeros(GRID.count), np.zeros(GRID.count))
     assert delta_cv(zero_v, P, tc_const) == 0.0
@@ -282,6 +261,31 @@ def test_delta_cv_constant_v_quadrature_oracle(tc_const, v_const):
     g_int = integrate(lambda e: -g_weight(e), ehat, b, 1e-13).value
     expected = P.n0 * v0 ** 2 / (8.0 * tc_const) * g_int
     assert delta_cv(v_const, P, tc_const) == pytest.approx(expected, rel=1e-6)
+
+
+def test_delta_cv_constant_kernel_matches_mpmath(tc_const, v_const):
+    # T_c is the root of u0 (integral of tanh(xi/2T)/xi) = 1; on the branch
+    # u0 (integral of tanh(E/2T)/E) = 1 with E^2 = xi^2 + Delta^2,
+    # v = -dDelta^2/dT at Delta = 0 is (dF/dT)/(dF/dDelta^2), and the jump is
+    # n0/(2 T_c) (integral of v sech^2(xi/2T_c))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        om, e0 = mpmath.mpf(P.hbar_omega_d), mpmath.mpf(P.epsilon)
+
+        def shell(fn):
+            return mpmath.quad(fn, [e0, mpmath.mpf("0.01"), mpmath.mpf("0.1"), om])
+
+        tc = mpmath.findroot(
+            lambda t: K.u0 * shell(lambda x: mpmath.tanh(x / (2 * t)) / x) - 1, 0.04)
+
+        def s2(x):
+            return mpmath.sech(x / (2 * tc)) ** 2
+
+        dfds = shell(lambda x: (s2(x) / (2 * tc * x) - mpmath.tanh(x / (2 * tc)) / x ** 2)
+                     / (2 * x))
+        dfdt = -shell(s2) / (2 * tc * tc)
+        ref = float(dfdt / dfds * P.n0 / (2 * tc) * shell(s2))
+    assert delta_cv(v_const, P, tc_const) == pytest.approx(ref, rel=1e-8)
 
 
 def test_cv_ratio_consistency(tc_const, v_const):
