@@ -11,9 +11,9 @@ from .simple_gap import (SimpleGapCurve, build_simple_gap_curve, delta_at_zero,
                          gap_rhs, solve_simple_gap, solve_tau, solve_tau0,
                          solve_z0, tau3)
 from .gap_solver import (ContractionReport, Discretization, EnergyGrid,
-                         GapSlice, GapSurface, SolverOpts, apply_A,
-                         apply_dA_dT, build_grid, contraction_diagnostics,
-                         du_dT_at_fixed_point, find_Tc, solve_at_T, sweep)
+                         GapSlice, GapSurface, SolverOpts, build_grid,
+                         contraction_diagnostics, du_dT_at_fixed_point,
+                         find_Tc, solve_at_T, sweep)
 from .thermo import (ThermoCurve, VFunction, build_thermo_curve, cv_normal,
                      cv_ratio, delta_cv, extract_v, g_weight, omega_normal,
                      psi, psi_derivative, psi_second_derivative_at_tc,
@@ -33,7 +33,7 @@ __all__ = [
     "solve_simple_gap", "solve_tau", "solve_tau0", "solve_z0", "tau3",
     "Discretization", "EnergyGrid", "GapSlice", "GapSurface",
     "ContractionReport", "SolverOpts",
-    "apply_A", "apply_dA_dT", "build_grid", "contraction_diagnostics",
+    "build_grid", "contraction_diagnostics",
     "du_dT_at_fixed_point", "find_Tc", "solve_at_T", "sweep",
     "ThermoCurve", "VFunction", "build_thermo_curve", "cv_normal", "cv_ratio",
     "delta_cv", "extract_v", "g_weight", "omega_normal", "psi",

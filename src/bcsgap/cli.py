@@ -139,7 +139,9 @@ def cmd_tc(args, cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
-    rep = contraction_diagnostics(_disc(cfg), args.tau, _opts(cfg))
+    disc, opts = _disc(cfg), _opts(cfg)
+    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    rep = contraction_diagnostics(disc, args.tau, tc)
     path = _out_path(args, "diagnose.txt")
     _write_kv(path, _meta(cfg, {
         "tau": rep.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
@@ -172,7 +174,7 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 def cmd_ratio(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
-    v = extract_v(disc, opts, tc=tc)
+    v = extract_v(disc, tc)
     dcv = delta_cv(v, cfg.params, tc)
     cvn = cv_normal(tc, cfg.params, cfg.dos)
     ratio = dcv / cvn
@@ -189,7 +191,7 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 def cmd_vfun(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
-    v = extract_v(disc, opts, tc=tc)
+    v = extract_v(disc, tc)
     path = _out_path(args, "vfun.csv")
     _write_csv(path, ["x", "v", "fit_residual"], [v.x, v.values, v.fit_residual])
     _write_kv(path + ".meta", _meta(cfg, {"Tc": tc}))
@@ -200,7 +202,7 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 def cmd_hc(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
-    v = extract_v(disc, opts, tc=tc)
+    v = extract_v(disc, tc)
     # user grid plus a dyadic refinement toward T_c for the linear-law fit
     base = _t_grid(args, cfg, tc)
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))

@@ -19,14 +19,14 @@ from .model import PhysicalParams
 from .thermo import VFunction, _psi_curve, _v_squared_g_deta, psi
 
 
-def hc(t: float, psi_value: float) -> float:
+def hc(psi_value: float) -> float:
     """Field from the potential: sqrt(-8 pi Psi), +0.0 at Psi = 0."""
     if psi_value > 0.0:
         raise NumericalError(f"positive Psi ({psi_value:g}) has no real field")
     return math.sqrt(8.0 * math.pi * abs(psi_value))
 
 
-def hc_slope(t: float, psi_value: float, dpsi_value: float) -> float:
+def hc_slope(psi_value: float, dpsi_value: float) -> float:
     """Temperature derivative away from the transition; needs Psi < 0."""
     if psi_value >= 0.0:
         raise NumericalError(
@@ -42,7 +42,7 @@ def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
 
 def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
     """Zero-temperature field from the converged T = 0 slice."""
-    return hc(0.0, psi(0.0, u0_slice, disc))
+    return hc(psi(0.0, u0_slice, disc))
 
 
 @dataclass
@@ -80,11 +80,11 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
     for i, t in enumerate(ts):
-        h[i] = hc(t, ps[i])
+        h[i] = hc(ps[i])
         if ps[i] == 0.0:
             dh[i] = slope_tc if t <= tc else 0.0
         else:
-            dh[i] = 0.0 if t == 0.0 else hc_slope(t, ps[i], dps[i])
+            dh[i] = 0.0 if t == 0.0 else hc_slope(ps[i], dps[i])
 
     h0 = h[0] if ts[0] == 0.0 else hc_zero(solve_at_T(0.0, disc, opts), disc)
     return HcCurve(ts, h, dh, h0, slope_tc, tc)

@@ -124,7 +124,7 @@ class SolverOpts:
     tol: float | None = None
     max_iter: int = 400_000
     t_tol: float | None = None
-    seed: np.ndarray | None = None
+    seed: float | None = None
     record_residuals: bool = False
 
     def resolved_tol(self, delta2_zero: float) -> float:
@@ -157,16 +157,12 @@ class Discretization:
         self.qn, self.qw = composite_gauss(x)
         f, g = kernel.factors(x, self.qn)
         self.F = f
-        self.Ft = np.column_stack([self.interp(col) for col in f.T])
+        self.Ft = np.column_stack([MonotoneCubic(x, col)(self.qn) for col in f.T])
         self.Gw = g * self.qw[:, None]
 
     def kernel_apply(self, phi: np.ndarray) -> np.ndarray:
         """Integral of U(x_i, xi) * phi(xi) over the shell, for all grid nodes."""
         return self.F @ (self.Gw.T @ phi)
-
-    def interp(self, values: np.ndarray) -> np.ndarray:
-        """Monotone cubic interpolant of grid values, at the quadrature nodes."""
-        return MonotoneCubic(self.grid.nodes, values)(self.qn)
 
     def core(self, weight_q: np.ndarray) -> np.ndarray:
         """Matrix of c -> Gw^T (weight * Ft c), the map linearized with weight."""
@@ -199,36 +195,21 @@ def _supercritical(disc: Discretization, t: float) -> bool:
     return disc.spectral_radius(w) > 1.0
 
 
-def apply_A(u: GapSlice, disc: Discretization) -> GapSlice:
-    """One application of the gap operator to a slice."""
-    out = disc.kernel_apply(_gap_terms(disc, disc.interp(u.values), u.T)[0])
-    return GapSlice(u.T, u.x, out, u.iterations, u.final_residual)
-
-
-def apply_dA_dT(u: GapSlice, du: np.ndarray, disc: Discretization) -> np.ndarray:
-    """Analytic temperature derivative of the operator at (u, du); T > 0."""
-    if u.T <= 0.0:
-        raise ValueError("temperature derivative of the operator needs T > 0; "
-                         "the T = 0 limit is identically zero")
-    _, dphi_du, dphi_dT = _gap_terms(disc, disc.interp(u.values), u.T)
-    return disc.kernel_apply(dphi_du * disc.interp(np.asarray(du, dtype=float))
-                             + dphi_dT)
-
-
 def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
-    """du/dT at a converged slice from solve_at_T, on the grid nodes.
+    """dc/dT at a converged slice from solve_at_T: the r kernel coefficients.
 
     Differentiating c = Gw^T phi_T(Ft c) in T gives
-    (I - core(dphi/du)) dc/dT = Gw^T dphi/dT, one r-by-r solve; du/dT is
-    F dc/dT, the exact derivative of the discrete solution.
+    (I - core(dphi/du)) dc/dT = Gw^T dphi/dT, one r-by-r solve.  du/dT, the
+    exact derivative of the discrete solution, is F dc/dT on the grid nodes
+    and Ft dc/dT at the quadrature nodes.
     """
-    if u.T <= 0.0:
-        return np.zeros_like(u.values)
     if u.coef is None:
         raise ValueError("du/dT needs the kernel coefficients of a solved slice")
+    if u.T <= 0.0:
+        return np.zeros_like(u.coef)
     _, dphi_du, dphi_dT = _gap_terms(disc, disc.Ft @ u.coef, u.T)
-    return disc.F @ np.linalg.solve(np.eye(u.coef.size) - disc.core(dphi_du),
-                                    disc.Gw.T @ dphi_dT)
+    return np.linalg.solve(np.eye(u.coef.size) - disc.core(dphi_du),
+                           disc.Gw.T @ dphi_dT)
 
 
 def solve_at_T(t: float, disc: Discretization,
@@ -236,7 +217,7 @@ def solve_at_T(t: float, disc: Discretization,
     """Fixed point of the gap operator at one temperature.
 
     Iterates on the kernel coefficients c from the image of the constant
-    Delta_2(0) (or of opts.seed, on the grid nodes); residuals and steps are
+    level opts.seed (default Delta_2(0)); residuals and steps are
     measured on the grid values F c.  At and above tau_2, and wherever the
     operator linearized at zero is subcritical (T >= T_c), the zero slice is
     returned outright.  Each iteration takes a Newton step while the iterate
@@ -271,11 +252,8 @@ def solve_at_T(t: float, disc: Discretization,
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
 
-    seed = (np.full_like(x, d20) if opts.seed is None
-            else np.array(opts.seed, dtype=float))
-    if seed.shape != x.shape:
-        raise ConfigError("seed shape does not match the energy grid")
-    c = disc.Gw.T @ _gap_terms(disc, disc.interp(seed), t)[0]
+    seed = d20 if opts.seed is None else float(opts.seed)
+    c = disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0]
 
     res_prev = np.inf
     ratios = []
@@ -365,8 +343,7 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
 
 
 def contraction_diagnostics(disc: Discretization, tau: float,
-                            opts: SolverOpts | None = None,
-                            tc: float | None = None) -> ContractionReport:
+                            tc: float) -> ContractionReport:
     """Certified iteration constants on the two proven regimes.
 
     a and b bound the low-temperature band [0, tau_3] (gamma is their
@@ -385,10 +362,7 @@ def contraction_diagnostics(disc: Discretization, tau: float,
     alpha is the paper's contraction hypothesis is not settled here; the
     abstract alone does not state it.
     """
-    opts = opts or SolverOpts()
     params = disc.kernel.params
-    if tc is None:
-        tc = find_Tc(disc.kernel, params, opts, disc.grid)
     if not 0.0 < tau < tc:
         raise ConfigError("tau must lie strictly between 0 and T_c")
 

@@ -116,10 +116,6 @@ class SimpleGapCurve:
     delta: np.ndarray
     residual: np.ndarray
 
-    @property
-    def samples(self):
-        return list(zip(self.t.tolist(), self.delta.tolist()))
-
 
 def build_simple_gap_curve(u_const: float, params: PhysicalParams,
                            t_points: int, t_max: float | None = None) -> SimpleGapCurve:

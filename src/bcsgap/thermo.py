@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gap_solver import (Discretization, GapSlice, SolverOpts,
-                         du_dT_at_fixed_point, find_Tc)
+from .gap_solver import Discretization, GapSlice, du_dT_at_fixed_point
 from .interpolate import MonotoneCubic
 from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss
@@ -74,17 +73,18 @@ def psi(t: float, u: GapSlice, disc: Discretization) -> float:
     return disc.kernel.params.n0 * float(qw @ integrand)
 
 
-def psi_derivative(t: float, u: GapSlice, du: np.ndarray,
+def psi_derivative(t: float, u: GapSlice, dc: np.ndarray,
                    disc: Discretization) -> float:
     """Analytic temperature derivative of psi along the solution; T > 0.
 
-    u enters as Ft @ u.coef, du as its grid values through disc.interp.
+    u enters as Ft @ u.coef and du/dT as Ft @ dc, with dc the dc/dT of
+    du_dT_at_fixed_point.
     """
     if t <= 0.0:
         raise ValueError("psi_derivative needs T > 0; the T = 0 value is 0")
     qn, qw = disc.qn, disc.qw
     uu = disc.Ft @ u.coef
-    dd = disc.interp(du)
+    dd = disc.Ft @ dc
     e2 = qn * qn + uu * uu
     e = np.sqrt(e2)
     th = np.tanh(e / (2.0 * t))
@@ -196,8 +196,7 @@ class VFunction:
     fit_residual: np.ndarray
 
 
-def extract_v(disc: Discretization, opts: SolverOpts | None = None,
-              tc: float | None = None) -> VFunction:
+def extract_v(disc: Discretization, tc: float) -> VFunction:
     """Near-transition limit v(x) of u^2/(T_c - T), from the bifurcation.
 
     Let phi and chi be the right and left Perron vectors of the map
@@ -208,11 +207,9 @@ def extract_v(disc: Discretization, opts: SolverOpts | None = None,
     N(phi) = Gw^T[(Ft phi)^3 k3] is the cubic term of the map, with
     k3 = (1/2 xi) d/dxi[tanh(xi/2T_c)/xi] = g(xi/2T_c)/(16 T_c^3).  The core
     is positive and A' and N negative, so a^2 > 0; v = a^2 (F phi)^2.  No
-    gap equation is solved; opts reaches only find_Tc when tc is not given.
+    gap equation is solved.
     """
     params = disc.kernel.params
-    if tc is None:
-        tc = find_Tc(disc.kernel, params, opts, disc.grid)
     qn, qw = disc.qn, disc.qw
     s2 = sech2(qn / (2.0 * tc))
     a = disc.core(np.tanh(qn / (2.0 * tc)) / qn)

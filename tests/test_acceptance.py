@@ -47,7 +47,7 @@ def weak():
     disc = Discretization(k, grid)
     opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
-    v = extract_v(disc, opts, tc=tc)
+    v = extract_v(disc, tc)
     return dict(p=p, dos=SqrtBandDos(1.0, p), disc=disc, opts=opts,
                 tc=tc, v=v, setup_runtime=time.time() - t0)
 
@@ -169,8 +169,7 @@ def test_criterion_07a_contraction_bound_feasible():
     grid = build_grid(p, 65)
     opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
-    rep = contraction_diagnostics(Discretization(k, grid), tc * (1.0 - 1e-5),
-                                  opts, tc=tc)
+    rep = contraction_diagnostics(Discretization(k, grid), tc * (1.0 - 1e-5), tc)
     ok = rep.alpha_feasible
     report("07a contraction bound alpha < 1", ok,
            f"alpha={rep.alpha:.6f} at the most favorable admissible "
@@ -210,7 +209,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
     for frac in (0.9, 0.95):
         t = frac * tc
         upper = solve_at_T(t, disc, SolverOpts())
-        low = SolverOpts(seed=np.full(grid.count, 1e-3 * d20))
+        low = SolverOpts(seed=1e-3 * d20)
         lower = solve_at_T(t, disc, low)
         worst = max(worst, float(np.max(np.abs(upper.values - lower.values))))
     ok = worst <= 2.0 * tol
@@ -296,7 +295,7 @@ def test_criterion_09d_flat_at_zero_temperature(weak):
 
     def hc_at(t):
         sl = solve_at_T(t, disc, opts)
-        return hc(t, psi(t, sl, disc))
+        return hc(psi(t, sl, disc))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(t3 / 8.0) - h0)

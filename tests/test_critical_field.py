@@ -25,7 +25,7 @@ def tc():
 
 @pytest.fixture(scope="module")
 def v(tc):
-    return extract_v(DISC, OPTS, tc=tc)
+    return extract_v(DISC, tc)
 
 
 @pytest.fixture(scope="module")
@@ -38,26 +38,26 @@ def curve(tc, v):
 
 
 def test_hc_inverts_defining_square_root():
-    assert hc(0.0, 0.0) == 0.0
-    assert hc(0.0, -1.0 / (8.0 * math.pi)) == pytest.approx(1.0, rel=1e-15)
+    assert hc(0.0) == 0.0
+    assert hc(-1.0 / (8.0 * math.pi)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_hc_monotone_link():
-    assert hc(0.0, -2.0) > hc(0.0, -1.0)
+    assert hc(-2.0) > hc(-1.0)
 
 
 def test_hc_rejects_positive_psi():
     with pytest.raises(NumericalError, match="positive Psi"):
-        hc(0.0, 1e-6)
+        hc(1e-6)
 
 
 def test_hc_slope_sign_and_scaling():
-    s = hc_slope(0.01, -1.0, 0.5)
+    s = hc_slope(-1.0, 0.5)
     assert s < 0.0
-    s2 = hc_slope(0.01, -2.0, 1.0)
+    s2 = hc_slope(-2.0, 1.0)
     assert s2 == pytest.approx(math.sqrt(2.0) * s, rel=1e-14)
     with pytest.raises(NumericalError):
-        hc_slope(0.01, 0.0, 0.5)
+        hc_slope(0.0, 0.5)
 
 
 def test_slope_at_tc_negative_and_consistent(tc, v):
@@ -76,7 +76,7 @@ def test_hc_slope_approaches_transition_slope(tc, v):
         p = psi(t, sl, DISC)
         du = du_dT_at_fixed_point(sl, DISC)
         dp = psi_derivative(t, sl, du, DISC)
-        errs.append(abs(hc_slope(t, p, dp) - s_tc))
+        errs.append(abs(hc_slope(p, dp) - s_tc))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01 * abs(s_tc)
 
@@ -84,7 +84,7 @@ def test_hc_slope_approaches_transition_slope(tc, v):
 def test_hc_zero_matches_psi_route(tc):
     sl0 = solve_at_T(0.0, DISC, OPTS)
     direct = hc_zero(sl0, DISC)
-    via_psi = hc(0.0, psi(0.0, sl0, DISC))
+    via_psi = hc(psi(0.0, sl0, DISC))
     assert direct == pytest.approx(via_psi, rel=1e-10)
     zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.count), 0, 0.0,
                     coef=np.zeros(1))
@@ -128,7 +128,7 @@ def test_curve_flat_at_zero_temperature(tc, v):
 
     def hc_at(t):
         sl = solve_at_T(t, DISC, OPTS)
-        return hc(t, psi(t, sl, DISC))
+        return hc(psi(t, sl, DISC))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(0.6 * t3) - h0)
@@ -145,7 +145,7 @@ def test_analytic_slope_matches_differences(tc, curve):
 
     def hc_at(t):
         sl = solve_at_T(float(t), DISC, OPTS)
-        return hc(float(t), psi(float(t), sl, DISC))
+        return hc(psi(float(t), sl, DISC))
 
     for t in ts[:: max(1, ts.size // 4)]:
         errs = []
@@ -164,8 +164,8 @@ def test_linear_law(tc, v, curve):
 
 
 def test_hc_is_positive_zero_at_zero_psi():
-    assert math.copysign(1.0, hc(0.0, 0.0)) == 1.0
-    assert math.copysign(1.0, hc(0.0, -0.0)) == 1.0
+    assert math.copysign(1.0, hc(0.0)) == 1.0
+    assert math.copysign(1.0, hc(-0.0)) == 1.0
 
 
 def test_hc_curve_is_the_solved_field_through_tc(tc, v):
@@ -179,7 +179,7 @@ def test_hc_curve_is_the_solved_field_through_tc(tc, v):
     assert [curve.t[i] for i in live] == list(ts[ts < tc])
     for i in live:
         t = float(ts[i])
-        assert curve.hc[i] == pytest.approx(hc(t, psi(t, surface.slices[i], DISC)),
+        assert curve.hc[i] == pytest.approx(hc(psi(t, surface.slices[i], DISC)),
                                             rel=1e-12)
     s_tc = slope_at_tc(v, P, tc)
     for k in ks[ks >= 11]:

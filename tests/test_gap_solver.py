@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from bcsgap import (ConfigError, ConstantPotential, EnergyGrid, GapSlice,
+from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     NumericalError, PhysicalParams, SeparablePotential,
-                    SolverOpts, SqrtBandDos, TabulatedPotential, apply_A,
-                    apply_dA_dT, build_grid, contraction_diagnostics,
-                    cv_ratio, delta_cv, du_dT_at_fixed_point, extract_v,
+                    SolverOpts, SqrtBandDos, TabulatedPotential, build_grid,
+                    contraction_diagnostics, cv_ratio, delta_at_zero,
+                    delta_cv, du_dT_at_fixed_point, extract_v,
                     find_Tc, gap_rhs, hc_slope, integrate, psi,
                     psi_derivative, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, sweep, validate_params)
@@ -37,16 +37,24 @@ def test_grid_endpoints_and_count():
         EnergyGrid(np.linspace(0.1, 1.0, 8))
 
 
+def image(disc, c, t):
+    """Grid values F Gw^T phi_T(Ft c) of the map solve_at_T iterates."""
+    return disc.F @ (disc.Gw.T @ gap_solver._gap_terms(disc, disc.Ft @ c, t)[0])
+
+
+def image_dT(disc, c, t):
+    """Grid values of the map's T-derivative at fixed c, F Gw^T dphi/dT."""
+    return disc.F @ (disc.Gw.T @ gap_solver._gap_terms(disc, disc.Ft @ c, t)[2])
+
+
 def test_apply_A_zero_is_zero_exactly():
-    z = GapSlice(0.01, GRID.nodes, np.zeros(GRID.count), 0, 0.0)
-    out = apply_A(z, DISC)
-    assert np.all(out.values == 0.0)
+    assert np.all(image(DISC, np.zeros(1), 0.01) == 0.0)
 
 
 def test_apply_A_constant_kernel_gives_constant_output():
-    u = GapSlice(0.01, GRID.nodes, np.linspace(0.01, 0.05, GRID.count), 0, 0.0)
-    out = apply_A(u, DISC)
-    assert np.ptp(out.values) < 1e-15
+    u = np.linspace(0.01, 0.05, DISC.qn.size)
+    out = DISC.kernel_apply(gap_solver._gap_terms(DISC, u, 0.01)[0])
+    assert np.ptp(out) < 1e-15
 
 
 def test_apply_A_upper_envelope_contracts():
@@ -54,30 +62,35 @@ def test_apply_A_upper_envelope_contracts():
     # equal Delta_2/U_2, so any kernel below U_2 must land strictly under it
     t = 0.01
     d2 = solve_simple_gap(t, P.u2, P)
-    u = GapSlice(t, GRID.nodes, np.full(GRID.count, d2), 0, 0.0)
     for kernel in (K, separable_kernel(P)):
-        out = apply_A(u, Discretization(kernel, GRID))
-        assert np.all(out.values < d2)
+        disc = Discretization(kernel, GRID)
+        phi = gap_solver._gap_terms(disc, np.full(disc.qn.size, d2), t)[0]
+        assert np.all(disc.kernel_apply(phi) < d2)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.004, 0.02])
-def test_panel_operator_matches_adaptive_quadrature(t):
-    # the panel rule against an independent adaptive integration of the same
-    # interpolated integrand, at a few representative nodes
+def test_panel_operator_matches_adaptive_quadrature(t, bilinear):
+    # the map's image against an independent adaptive integration of the
+    # same integrand, at one node: a rank-5 table on every 32nd grid node, so
+    # its kinks are panel ends, and u the monotone cubics of F's columns
+    # weighted by c
     rng = np.random.RandomState(1)
-    vals = 0.05 + 0.01 * np.sin(3 * GRID.nodes) + 0.001 * rng.uniform(size=GRID.count)
-    u = GapSlice(t, GRID.nodes, vals, 0, 0.0)
-    out = apply_A(u, DISC)
-    m = MonotoneCubic(GRID.nodes, vals)
+    nodes = GRID.nodes[::32]
+    table = rng.uniform(0.26, 0.34, (nodes.size, nodes.size))
+    disc = Discretization(TabulatedPotential(nodes, table, P), GRID)
+    c = 0.03 + 0.01 * rng.uniform(size=nodes.size)
+    cols = [MonotoneCubic(GRID.nodes, col) for col in disc.F.T]
+    x17 = GRID.nodes[17]
 
     def integrand(xi):
-        uu = m(xi)
+        uu = sum(ck * m(xi) for ck, m in zip(c, cols))
         e = np.hypot(xi, uu)
         th = 1.0 if t == 0.0 else np.tanh(e / (2.0 * t))
-        return 0.3 * uu / e * th
+        return bilinear(nodes, table, x17, xi) * uu / e * th
 
-    ref = integrate(integrand, P.epsilon, P.hbar_omega_d, 1e-13).value
-    assert out.values[17] == pytest.approx(ref, abs=5e-12)
+    ref = sum(integrate(integrand, a, b, 1e-13).value
+              for a, b in zip(nodes[:-1], nodes[1:]))
+    assert image(disc, c, t)[17] == pytest.approx(ref, abs=5e-12)
 
 
 def test_solve_zero_above_tau2():
@@ -141,8 +154,7 @@ def test_two_seeds_same_fixed_point():
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
     upper = solve_at_T(t, DISC, OPTS)
-    low_seed = np.full(GRID.count, 1e-3 * d20)
-    lower = solve_at_T(t, DISC, SolverOpts(seed=low_seed))
+    lower = solve_at_T(t, DISC, SolverOpts(seed=1e-3 * d20))
     assert np.max(np.abs(upper.values - lower.values)) <= 2.0 * tol
 
 
@@ -315,8 +327,8 @@ def test_jump_ratio_is_grid_independent(kernel):
     for n in (129, 257, 513):
         grid = build_grid(P, n)
         tc = find_Tc(kernel, P, OPTS, grid=grid)
-        ratios.append(cv_ratio(extract_v(Discretization(kernel, grid), OPTS,
-                                         tc=tc), P, dos, tc))
+        ratios.append(cv_ratio(extract_v(Discretization(kernel, grid), tc),
+                               P, dos, tc))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
 
 
@@ -330,7 +342,7 @@ def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
     for n in (129, 257, 513):
         grid = build_grid(P, n)
         tc = find_Tc(kernel, P, OPTS, grid=grid)
-        v = extract_v(Discretization(kernel, grid), OPTS, tc=tc)
+        v = extract_v(Discretization(kernel, grid), tc)
         qn, qw = composite_gauss(grid.nodes)
         entropy = P.n0 / (2.0 * tc) * float(
             qw @ (MonotoneCubic(v.x, v.values)(qn) * sech2(qn / (2.0 * tc))))
@@ -348,16 +360,17 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
     # rungs, with no floor from the way v is found
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, P, OPTS, grid=GRID)
-    v = extract_v(disc, OPTS, tc=tc)
+    v = extract_v(disc, tc)
     s_tc = slope_at_tc(v, P, tc)
     opts = SolverOpts(tol=1e-15 * solve_simple_gap(0.0, P.u2, P))
     v_err, slope_err = [], []
     for k in (12, 16, 20, 24):
         t = tc * (1.0 - 2.0 ** -k)
         sl = solve_at_T(t, disc, opts)
-        du = du_dT_at_fixed_point(sl, disc)
+        dc = du_dT_at_fixed_point(sl, disc)
+        du = disc.F @ dc
         v_err.append(np.max(np.abs(-2.0 * sl.values * du / v.values - 1.0)))
-        dh = hc_slope(t, psi(t, sl, disc), psi_derivative(t, sl, du, disc))
+        dh = hc_slope(psi(t, sl, disc), psi_derivative(t, sl, dc, disc))
         slope_err.append(abs(dh / s_tc - 1.0))
     assert 12.0 <= v_err[0] / v_err[1] <= 20.0
     assert 12.0 <= v_err[1] / v_err[2] <= 20.0
@@ -373,12 +386,36 @@ def test_du_dT_matches_differences_of_converged_solves(kernel):
     opts = SolverOpts(tol=1e-13 * solve_simple_gap(0.0, P.u2, P))
     for frac in (0.5, 0.95, 1.0 - 2.0 ** -10):
         t = frac * tc
-        du = du_dT_at_fixed_point(solve_at_T(t, disc, opts), disc)
+        du = disc.F @ du_dT_at_fixed_point(solve_at_T(t, disc, opts), disc)
         h = 1e-3 * min(t, tc - t)
         up = solve_at_T(t + h, disc, opts)
         dn = solve_at_T(t - h, disc, opts)
         fd = (up.values - dn.values) / (2.0 * h)
         assert np.max(np.abs(fd - du)) <= 1e-5 * np.max(np.abs(du))
+
+
+@pytest.mark.parametrize("frac", [0.6, 0.95])
+@pytest.mark.parametrize("n", [65, 129])
+@pytest.mark.parametrize("kernel", [K, roadmap_separable_kernel(P), tabulated_kernel(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_psi_derivative_is_the_derivative_along_converged_solves(kernel, n, frac):
+    # Psi reads u as Ft c and dPsi/dT reads du/dT as Ft dc/dT, so dPsi/dT is
+    # the derivative of Psi along the solves themselves: Richardson
+    # extrapolated central differences (error O(h^4)) agree to roundoff
+    grid = build_grid(P, n)
+    disc = Discretization(kernel, grid)
+    opts = SolverOpts(tol=1e-15 * delta_at_zero(P.u2, P))
+    t = frac * find_Tc(kernel, P, OPTS, grid=grid)
+    sl = solve_at_T(t, disc, opts)
+    ana = psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
+
+    def central(h):
+        return (psi(t + h, solve_at_T(t + h, disc, opts), disc)
+                - psi(t - h, solve_at_T(t - h, disc, opts), disc)) / (2.0 * h)
+
+    h = 1e-3 * t
+    fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    assert abs(fd - ana) <= 2e-11 * abs(ana)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.02])
@@ -432,8 +469,8 @@ def test_sweep_lipschitz_with_feasible_gamma():
     p = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.3, 0.3012))
     k = ConstantPotential(0.3005, p)
     disc = Discretization(k, build_grid(p, 65))
-    rep = contraction_diagnostics(disc, 0.9 * solve_tau(0.3005, p),
-                                  SolverOpts())
+    tc = find_Tc(k, p, SolverOpts(), grid=disc.grid)
+    rep = contraction_diagnostics(disc, 0.9 * solve_tau(0.3005, p), tc)
     assert rep.gamma_feasible and rep.gamma > 0
     t3 = rep.tau3
     ts = np.linspace(0.0, t3, 9)
@@ -533,6 +570,20 @@ def test_newton_from_the_default_seed_converges_quickly(kernel, frac):
     assert sl.final_residual <= OPTS.resolved_tol(solve_simple_gap(0.0, P.u2, P))
 
 
+@ALL_KERNELS
+@pytest.mark.parametrize("frac", [0.0, 0.5, 0.99])
+def test_newton_seed_is_a_supersolution(kernel, frac):
+    # the seed c0 = Gw^T phi_T(Delta_2(0)) lies below the constant Delta_2(0)
+    # on the grid, and the map takes it to at or below itself: Newton on the
+    # concave map starts, and stays, above the fixed point
+    disc = Discretization(kernel, GRID)
+    t = frac * find_Tc(kernel, P, OPTS, grid=GRID)
+    d20 = delta_at_zero(P.u2, P)
+    c0 = disc.Gw.T @ gap_solver._gap_terms(disc, np.full(disc.qn.size, d20), t)[0]
+    assert np.all(disc.F @ c0 < d20)
+    assert np.all(image(disc, c0, t) <= disc.F @ c0)
+
+
 def test_picard_from_a_low_seed_is_undamped():
     # the residual grows while an iterate rises from a subsolution; halving
     # the steps there would double the iteration count
@@ -540,15 +591,14 @@ def test_picard_from_a_low_seed_is_undamped():
     d20 = solve_simple_gap(0.0, P.u2, P)
     newton = solve_at_T(0.9 * tc, DISC, OPTS)
     low = solve_at_T(0.9 * tc, DISC,
-                     SolverOpts(seed=np.full(GRID.count, 1e-3 * d20)))
+                     SolverOpts(seed=1e-3 * d20))
     assert low.iterations <= 600
     assert np.max(np.abs(low.values - newton.values)) <= 2.0 * OPTS.resolved_tol(d20)
 
 
 def test_diagnostics_report_structure():
     tc = solve_tau(0.3, P)
-    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(),
-                                  tc=tc)
+    rep = contraction_diagnostics(DISC, 0.9 * tc, tc)
     assert rep.a > 0 and rep.b > 0
     assert rep.tau3 == pytest.approx(rep.tau0 / 2.0)
     # defaults: coupling window far too wide for a finite gamma
@@ -559,16 +609,14 @@ def test_diagnostics_report_structure():
     # at T = tau
     assert rep.alpha_argmax[0] == rep.tau
     with pytest.raises(ConfigError):
-        contraction_diagnostics(DISC, 2.0 * tc, SolverOpts(),
-                                tc=tc)
+        contraction_diagnostics(DISC, 2.0 * tc, tc)
 
 
 def test_diagnostics_a_is_the_sup_over_the_low_temperature_band():
     # a is the value at tau_3; the sup over a 65-point Delta_1 ladder on
     # [0, tau_3] must be that same value
     tc = solve_tau(0.3, P)
-    rep = contraction_diagnostics(DISC, 0.9 * tc, SolverOpts(),
-                                  tc=tc)
+    rep = contraction_diagnostics(DISC, 0.9 * tc, tc)
     qn, qw = DISC.qn, DISC.qw
     ladder = []
     for t in np.linspace(0.0, rep.tau3, 65):
@@ -625,7 +673,7 @@ def test_coded_alpha_exceeds_perron_root():
     opts = SolverOpts()
     tc = find_Tc(k, p, opts, grid=grid)
     tau = tc * (1.0 - 1e-5)
-    rep = contraction_diagnostics(Discretization(k, grid), tau, opts, tc=tc)
+    rep = contraction_diagnostics(Discretization(k, grid), tau, tc)
 
     with mp.workdps(30):
         t = mp.mpf(tau)
@@ -649,31 +697,24 @@ def test_coded_alpha_exceeds_perron_root():
 
 
 def test_apply_dA_dT_examples():
-    disc = DISC
     t3 = 0.5 * 0.00846557824340508  # tau_3 at the default parameter set
     sl = solve_at_T(t3, DISC, OPTS)
-    out = apply_dA_dT(sl, np.zeros(GRID.count), disc)
-    assert np.all(out < 0.0)
+    assert np.all(image_dT(DISC, sl.coef, t3) < 0.0)
 
     # the explicit temperature term fades to zero with T when du does
     tiny = solve_at_T(1e-4, DISC, OPTS)
-    out_tiny = apply_dA_dT(tiny, np.zeros(GRID.count), disc)
-    assert np.max(np.abs(out_tiny)) < 1e-100
+    assert np.max(np.abs(image_dT(DISC, tiny.coef, 1e-4))) < 1e-100
 
-    with pytest.raises(ValueError):
-        apply_dA_dT(GapSlice(0.0, GRID.nodes, sl.values, 0, 0.0),
-                    np.zeros(GRID.count), disc)
+    # and at T = 0, where the tanh factor is 1, it is identically zero
+    assert np.all(image_dT(DISC, sl.coef, 0.0) == 0.0)
 
 
 def test_apply_dA_dT_matches_finite_difference_at_fixed_u():
-    disc = DISC
     t = 0.015
     sl = solve_at_T(t, DISC, OPTS)
     h = 1e-4 * solve_tau(P.u1, P)
-    up = apply_A(GapSlice(t + h, GRID.nodes, sl.values, 0, 0.0), disc)
-    dn = apply_A(GapSlice(t - h, GRID.nodes, sl.values, 0, 0.0), disc)
-    fd = (up.values - dn.values) / (2.0 * h)
-    ana = apply_dA_dT(sl, np.zeros(GRID.count), disc)
+    fd = (image(DISC, sl.coef, t + h) - image(DISC, sl.coef, t - h)) / (2.0 * h)
+    ana = image_dT(DISC, sl.coef, t)
     assert np.max(np.abs(fd - ana)) < 1e-6 * np.max(np.abs(ana))
 
 
@@ -681,10 +722,12 @@ def test_du_fixed_point_solution():
     disc = DISC
     t = 0.015
     sl = solve_at_T(t, DISC, OPTS)
-    du = du_dT_at_fixed_point(sl, disc)
+    dc = du_dT_at_fixed_point(sl, disc)
+    du = disc.F @ dc
     assert np.all(du < 0.0)
-    # du solves the differentiated fixed-point identity
-    img = apply_dA_dT(sl, du, disc)
+    # dc solves the differentiated fixed-point identity
+    _, dphi_du, dphi_dT = gap_solver._gap_terms(disc, disc.Ft @ sl.coef, t)
+    img = disc.F @ (disc.Gw.T @ (dphi_du * (disc.Ft @ dc) + dphi_dT))
     assert np.max(np.abs(img - du)) < 1e-12 * np.max(np.abs(du))
     # and matches a centered difference of the solution surface
     h = 2e-4 * t

@@ -138,7 +138,6 @@ def test_curve_builder():
     assert np.all(np.diff(c.delta) <= 0)
     live = c.delta > 0
     assert np.all(c.residual[live] < 1e-8)
-    assert c.samples[0] == (0.0, c.delta[0])
 
 
 def test_negative_temperature_rejected():

@@ -12,6 +12,7 @@ from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
                     psi_second_derivative_at_tc, solve_at_T, solve_tau, sweep,
                     universal_constant, validate_params)
 from bcsgap.gap_solver import du_dT_at_fixed_point
+from bcsgap.interpolate import MonotoneCubic
 from bcsgap.model import eval_dos
 from bcsgap.special import sech2
 from bcsgap.thermo import VFunction, ZETA3
@@ -153,7 +154,7 @@ def tc_const():
 
 @pytest.fixture(scope="module")
 def v_const(tc_const):
-    return extract_v(DISC, OPTS, tc=tc_const)
+    return extract_v(DISC, tc_const)
 
 
 def test_psi_zero_slice_is_zero_exactly():
@@ -163,7 +164,6 @@ def test_psi_zero_slice_is_zero_exactly():
 
 def test_psi_zero_temperature_closed_form():
     sl = solve_at_T(0.0, DISC, OPTS)
-    from bcsgap.interpolate import MonotoneCubic
     m = MonotoneCubic(sl.x, sl.values)
 
     def integrand(xi):
@@ -184,13 +184,13 @@ def test_psi_negative_below_tc(tc_const):
 
 def test_psi_derivative_zero_slice_cancels():
     z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0, coef=np.zeros(1))
-    assert psi_derivative(0.02, z, np.zeros(GRID.count), DISC) == 0.0
+    assert psi_derivative(0.02, z, np.zeros(1), DISC) == 0.0
 
 
 def test_psi_derivative_rejects_zero_temperature():
     sl = solve_at_T(0.01, DISC, OPTS)
     with pytest.raises(ValueError):
-        psi_derivative(0.0, sl, np.zeros(GRID.count), DISC)
+        psi_derivative(0.0, sl, np.zeros(1), DISC)
 
 
 def test_psi_derivative_matches_central_differences(tc_const):
@@ -303,7 +303,7 @@ def test_cv_ratio_wide_shell_band():
     g = build_grid(p6, 129)
     tc = find_Tc(k, p6, OPTS, grid=g)
     assert 1.0 / (2.0 * tc) >= 25.0 and p6.epsilon / (2.0 * tc) <= 1e-4
-    v = extract_v(Discretization(k, g), OPTS, tc=tc)
+    v = extract_v(Discretization(k, g), tc)
     ratio = cv_ratio(v, p6, SqrtBandDos(1.0, p6), tc)
     assert abs(ratio - 12.0 / (7.0 * ZETA3)) <= 0.02 * 12.0 / (7.0 * ZETA3)
 
@@ -351,3 +351,23 @@ def test_cv_super_is_cv_normal_where_psi_vanishes(kernel):
     zero = curve.psi == 0.0
     assert np.array_equal(zero, ts >= tc)
     assert np.array_equal(curve.cv_super[zero], curve.cv_normal[zero])
+
+
+@pytest.mark.parametrize("kernel", [K, _separable(P), _tabulated(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_sweep_and_thermo_curve_build_no_interpolant(kernel, monkeypatch):
+    # every slice and its dc/dT are kernel coefficients, read at the
+    # quadrature nodes through the Discretization's Ft: once that is built,
+    # no solve and no thermodynamic record builds a monotone cubic
+    disc = Discretization(kernel, GRID)
+    builds = []
+    init = MonotoneCubic.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonotoneCubic, "__init__", counted)
+    ts = np.linspace(0.0, solve_tau(P.u2, P), 9)
+    build_thermo_curve(sweep(ts, disc, OPTS), disc, DOS)
+    assert len(builds) == 0
