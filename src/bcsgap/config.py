@@ -6,8 +6,6 @@ metadata can echo the fully resolved configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigError
@@ -27,18 +25,24 @@ _LIST_KEYS = {"potential.f_nodes", "potential.f_values",
 KNOWN_KEYS = _SCALAR_KEYS | _STRING_KEYS | _LIST_KEYS
 
 
-@dataclass
 class RunConfig:
-    params: PhysicalParams
-    potential: PotentialSpec
-    dos: DosModel
-    energy_points: int
-    t_points: int
-    quad_tol: float
-    solver_tol: float | None
-    t_tol: float | None
-    resolved: dict = field(default_factory=dict)
-    defaults_applied: dict = field(default_factory=dict)
+    """A loaded configuration; the CLI overrides quad_tol in place for --tol."""
+
+    def __init__(self, params: PhysicalParams, potential: PotentialSpec,
+                 dos: DosModel, energy_points: int, t_points: int,
+                 quad_tol: float, solver_tol: float | None,
+                 t_tol: float | None, resolved: dict | None = None,
+                 defaults_applied: dict | None = None):
+        self.params = params
+        self.potential = potential
+        self.dos = dos
+        self.energy_points = energy_points
+        self.t_points = t_points
+        self.quad_tol = quad_tol
+        self.solver_tol = solver_tol
+        self.t_tol = t_tol
+        self.resolved = {} if resolved is None else resolved
+        self.defaults_applied = {} if defaults_applied is None else defaults_applied
 
 
 def _parse_items(text: str, origin: str) -> dict:

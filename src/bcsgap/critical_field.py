@@ -9,7 +9,7 @@ closed-form limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
     return hc(psi(0.0, u0_slice, disc))
 
 
-@dataclass
-class HcCurve:
+class HcCurve(NamedTuple):
     t: np.ndarray
     hc: np.ndarray
     dhc_dT: np.ndarray
@@ -55,8 +54,7 @@ class HcCurve:
     tc: float
 
 
-@dataclass
-class LinearLawReport:
+class LinearLawReport(NamedTuple):
     fitted_coefficient: float
     predicted_coefficient: float
     coeff_over_hc0: float
@@ -93,10 +91,10 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
 def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     """Fit the near-transition linear law and compare against the closed form.
 
-    Points with 0 < 1 - T/T_c <= t_window enter a quadratic fit of
-    hc/(1 - T/T_c); the intercept is the fitted linear coefficient.  For a
-    constant kernel the ratio of that coefficient to hc(0) lands near the
-    textbook 1.74.
+    Points with 0 < 1 - T/T_c <= t_window enter a least-squares quadratic fit
+    of hc/(1 - T/T_c) (lstsq, as polyfit would import numpy.polynomial); the
+    intercept is the fitted linear coefficient.  For a constant kernel the
+    ratio of that coefficient to hc(0) lands near the textbook 1.74.
     """
     tc = curve.tc
     rel = 1.0 - curve.t / tc
@@ -105,7 +103,7 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
         raise NumericalError("need at least 4 points near T_c for the linear-law fit")
     d = rel[m]
     z = curve.hc[m] / d
-    coef = np.polynomial.polynomial.polyfit(d, z, 2)
+    coef = np.linalg.lstsq(np.vander(d, 3, increasing=True), z, rcond=None)[0]
     fitted = float(coef[0])
     predicted = tc * abs(curve.slope_at_tc)
     return LinearLawReport(fitted, predicted, fitted / curve.hc0, int(m.sum()))

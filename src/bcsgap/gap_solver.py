@@ -31,7 +31,7 @@ test of solve_at_T's zero shortcut.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,18 +43,15 @@ from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0
 from .special import sech2
 
 
-@dataclass(frozen=True)
 class EnergyGrid:
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.nodes, dtype=float)
+    def __init__(self, nodes):
+        n = np.asarray(nodes, dtype=float)
         if n.ndim != 1 or n.size < 16:
             raise ConfigError("energy grid needs at least 16 ascending nodes")
         if np.any(np.diff(n) <= 0):
             raise ConfigError("energy grid nodes must be strictly ascending")
         n.setflags(write=False)
-        object.__setattr__(self, "nodes", n)
+        self.nodes = n
 
     @property
     def count(self) -> int:
@@ -76,30 +73,27 @@ def build_grid(params: PhysicalParams, count: int = 129) -> EnergyGrid:
     return EnergyGrid(nodes)
 
 
-@dataclass
-class GapSlice:
+class GapSlice(NamedTuple):
     """Gap values on the grid nodes x; from solve_at_T, values = F(x) @ coef."""
     T: float
     x: np.ndarray
     values: np.ndarray
     iterations: int
     final_residual: float
-    residual_history: list | None = field(default=None, repr=False)
-    coef: np.ndarray | None = field(default=None, repr=False)
+    coef: np.ndarray
+    residual_history: list | None = None
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass
-class GapSurface:
+class GapSurface(NamedTuple):
     t_grid: np.ndarray
     slices: list
     tc: float | None
 
 
-@dataclass
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """Iteration constants from `contraction_diagnostics`.
 
     `alpha_feasible` records whether alpha < 1.  For alpha as coded it is
@@ -119,8 +113,7 @@ class ContractionReport:
     alpha_argmax: tuple  # (T, x)
 
 
-@dataclass
-class SolverOpts:
+class SolverOpts(NamedTuple):
     tol: float | None = None
     max_iter: int = 400_000
     t_tol: float | None = None
@@ -179,13 +172,16 @@ def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
     Returns (phi, dphi/du, dphi/dT) for E = sqrt(xi^2 + u^2), u given at the
     quadrature nodes; at T = 0 the tanh factor is 1 and dphi/dT is 0.
     """
-    e2 = disc.qn ** 2 + u ** 2
+    xi2 = disc.qn ** 2
+    u2 = u ** 2
+    e2 = xi2 + u2
     e = np.sqrt(e2)
     if t == 0.0:
-        return u / e, disc.qn ** 2 / (e2 * e), np.zeros_like(u)
-    th = np.tanh(e / (2.0 * t))
-    s2 = sech2(e / (2.0 * t))
-    return (u / e * th, disc.qn ** 2 / (e2 * e) * th + u ** 2 / (2.0 * t * e2) * s2,
+        return u / e, xi2 / (e2 * e), np.zeros_like(u)
+    y = e / (2.0 * t)
+    th = np.tanh(y)
+    s2 = sech2(y)
+    return (u / e * th, xi2 / (e2 * e) * th + u2 / (2.0 * t * e2) * s2,
             -u / (2.0 * t * t) * s2)
 
 
@@ -203,8 +199,6 @@ def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
     exact derivative of the discrete solution, is F dc/dT on the grid nodes
     and Ft dc/dT at the quadrature nodes.
     """
-    if u.coef is None:
-        raise ValueError("du/dT needs the kernel coefficients of a solved slice")
     if u.T <= 0.0:
         return np.zeros_like(u.coef)
     _, dphi_du, dphi_dT = _gap_terms(disc, disc.Ft @ u.coef, u.T)
@@ -236,7 +230,7 @@ def solve_at_T(t: float, disc: Discretization,
     history = [] if opts.record_residuals else None
 
     def result(c, it, res):
-        return GapSlice(t, x, disc.F @ c, it, res, history, c)
+        return GapSlice(t, x, disc.F @ c, it, res, c, history)
 
     zero = np.zeros(disc.F.shape[1])
     tau2 = solve_tau(params.u2, params)
@@ -255,14 +249,15 @@ def solve_at_T(t: float, disc: Discretization,
     seed = d20 if opts.seed is None else float(opts.seed)
     c = disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0]
 
+    eye = np.eye(c.size)
     res_prev = np.inf
     ratios = []
     at_floor = False
     for it in range(1, opts.max_iter + 1):
         phi, dphi_du, _ = _gap_terms(disc, disc.Ft @ c, t)
         g = disc.Gw.T @ phi
-        f = disc.F @ c - disc.F @ g
-        res = float(np.max(np.abs(f)))
+        f = disc.F @ (c - g)
+        res = float(np.abs(f).max())
         if history is not None:
             history.append(res)
         # a residual inside tol that stops falling is at the roundoff floor,
@@ -275,12 +270,12 @@ def solve_at_T(t: float, disc: Discretization,
                 ratios.pop(0)
         res_prev = res
 
-        if history is None and float(np.min(f)) >= -tol:
+        if history is None and float(f.min()) >= -tol:
             if at_floor and res <= tol:
                 return result(c, it, res)
-            step = np.linalg.solve(np.eye(c.size) - disc.core(dphi_du), c - g)
+            step = np.linalg.solve(eye - disc.core(dphi_du), c - g)
             c_next = c - step
-            done = res <= tol and float(np.max(np.abs(disc.F @ step))) <= tol
+            done = res <= tol and float(np.abs(disc.F @ step).max()) <= tol
         else:
             c_next = g
             q = max(ratios) if ratios else 0.0

@@ -6,7 +6,7 @@ energies in units of the Debye energy.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .errors import ConfigError
 from .interpolate import hat_basis
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(NamedTuple):
     """Cutoff, Debye energy, chemical potential, DOS level and coupling bounds."""
 
     epsilon: float
@@ -31,7 +30,7 @@ def validate_params(raw: PhysicalParams) -> PhysicalParams:
 
     The first violated condition is reported by name.
     """
-    if not np.all(np.isfinite(astuple(raw))):
+    if not np.all(np.isfinite(raw)):
         raise ConfigError("physical parameters must be finite numbers")
     if not raw.epsilon > 0:
         raise ConfigError("cutoff must be positive")

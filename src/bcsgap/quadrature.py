@@ -17,7 +17,7 @@ the panels.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,7 @@ _XGL7 = _XGK[1::2].copy()
 _WGL7 = _WG.copy()
 
 
-@dataclass
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     err_estimate: float
     evaluations: int

@@ -14,8 +14,8 @@ it converges geometrically, to about 1e-15, with no tolerance to set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def tau3(params: PhysicalParams) -> float:
     return 0.5 * solve_tau0(params)
 
 
-@dataclass
-class SimpleGapCurve:
+class SimpleGapCurve(NamedTuple):
     coupling: float
     tau: float
     t: np.ndarray

@@ -14,8 +14,8 @@ iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,22 +151,32 @@ def _windows(t: float, params: PhysicalParams):
     return xs, ws, np.concatenate([xb, xa]), np.concatenate([wb, wa])
 
 
-def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
-    """Normal-state thermodynamic potential (five-integral form).
-
-    The two temperature-free terms are exact: -2 n0 (integral of x over the
-    shell) in closed form, and 2 (integral of x N(x) over [-mu, -om]) by one
-    Gauss panel in sqrt(x + mu), where both DOS models are polynomials.
-    """
+def _ground_energy(params: PhysicalParams, dos: DosModel) -> float:
+    """Omega_N at T = 0, from its two temperature-free terms, both exact:
+    -2 n0 (integral of x over the shell) in closed form, and
+    2 (integral of x N(x) over [-mu, -om]) by one Gauss panel in
+    sqrt(x + mu), where both DOS models are polynomials."""
     eps, om, n0 = params.epsilon, params.hbar_omega_d, params.n0
     xb, wb = _below_shell(math.inf, math.inf, params)
-    energy = -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
-    if t == 0.0:
-        return energy
+    return -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
+
+
+def _thermal(t: float, params: PhysicalParams, dos: DosModel):
+    """(Omega_N(T) - Omega_N(0), C_V^N(T)) at T = t > 0, from one set of
+    Fermi-window rules and one DOS evaluation."""
     xs, ws, xo, wo = _windows(t, params)
-    shell = 2.0 * n0 * float(ws @ np.log1p(np.exp(-xs / t)))
-    off = float(wo @ (eval_dos(dos, xo) * np.log1p(np.exp(-np.abs(xo) / t))))
-    return energy - 2.0 * t * (shell + off)
+    n_off = eval_dos(dos, xo)
+    shell = 2.0 * params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
+    off = float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t))))
+    cv_shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
+    cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
+    return -2.0 * t * (shell + off), 0.5 / (t * t) * (cv_shell + cv_off)
+
+
+def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
+    """Normal-state thermodynamic potential (five-integral form)."""
+    energy = _ground_energy(params, dos)
+    return energy if t == 0.0 else energy + _thermal(t, params, dos)[0]
 
 
 def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
@@ -174,16 +184,10 @@ def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
     closed-form second derivative (no numerical differentiation)."""
     if t < 0.0:
         raise ValueError("cv_normal needs T >= 0")
-    if t == 0.0:
-        return 0.0
-    xs, ws, xo, wo = _windows(t, params)
-    shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
-    off = float(wo @ (eval_dos(dos, xo) * xo * xo * sech2(xo / (2.0 * t))))
-    return 0.5 / (t * t) * (shell + off)
+    return 0.0 if t == 0.0 else _thermal(t, params, dos)[1]
 
 
-@dataclass
-class VFunction:
+class VFunction(NamedTuple):
     """v(x) = -d(u^2)/dT at T_c on the grid nodes x.
 
     fit_residual is |m| * v, where m is the relative mismatch between the
@@ -267,8 +271,7 @@ def universal_constant() -> float:
     return 1.0 / (i1 * i2)
 
 
-@dataclass
-class ThermoCurve:
+class ThermoCurve(NamedTuple):
     t: np.ndarray
     omega_n: np.ndarray
     psi: np.ndarray
@@ -305,8 +308,9 @@ def build_thermo_curve(surface, disc: Discretization,
     params = disc.kernel.params
     ts = surface.t_grid
     n = ts.size
-    om_n = np.array([omega_normal(float(t), params, dos) for t in ts])
-    cvn = np.array([cv_normal(float(t), params, dos) for t in ts])
+    d_omega, cvn = np.array([_thermal(float(t), params, dos) if t > 0.0 else (0.0, 0.0)
+                             for t in ts]).T
+    om_n = _ground_energy(params, dos) + d_omega
     ps, dps = _psi_curve(surface, disc)
 
     total = om_n + ps

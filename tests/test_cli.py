@@ -246,6 +246,28 @@ def test_cli_vfun_and_hc(tmp_path):
     assert "coeff_over_hc0" in meta
 
 
+def test_cli_requests_load_no_lazy_modules(tmp_path):
+    # every subcommand in one fresh interpreter: no record generates code at
+    # import (dataclasses), and no request reaches numpy.ma (np.unique) or
+    # numpy.polynomial (polyfit), which NumPy imports only on first use
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    script = (
+        "import sys\n"
+        "import bcsgap.cli as cli\n"
+        f"base = ['--quiet', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]\n"
+        "for argv in (['tc'], ['gap', '--t', '0.02'],\n"
+        "             ['simple-gap', '--coupling', 'u1'], ['sweep'], ['thermo'],\n"
+        "             ['ratio'], ['vfun'], ['hc'], ['diagnose', '--tau', '0.02']):\n"
+        "    assert cli.main(base + argv) == 0, argv\n"
+        "print(' '.join(m for m in ('dataclasses', 'numpy.ma', 'numpy.polynomial')\n"
+        "               if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+    assert (tmp_path / "hc.csv").exists() and (tmp_path / "diagnose.txt").exists()
+
+
 def test_cli_hc_solves_each_temperature_once(tmp_path, monkeypatch):
     # v comes from the bifurcation at T_c, not from solves of its own, so the
     # sweep is the only caller and no temperature is solved twice

@@ -1,5 +1,4 @@
 """Property test: every key = value file loads or raises ConfigError."""
-import dataclasses
 import math
 
 import numpy as np
@@ -46,8 +45,8 @@ def test_load_config_ends_in_run_config_or_config_error(tmp_path_factory, items)
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
-    assert all(math.isfinite(getattr(cfg.params, f.name))
-               for f in dataclasses.fields(cfg.params))
+    assert all(math.isfinite(getattr(cfg.params, name))
+               for name in cfg.params._fields)
     lo, hi = cfg.params.epsilon, cfg.params.hbar_omega_d
     x = np.linspace(lo, hi, 5)
     assert np.all(np.isfinite(eval_kernel(cfg.potential, x[:, None], x[None, :])))

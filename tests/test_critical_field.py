@@ -163,6 +163,15 @@ def test_linear_law(tc, v, curve):
     assert curve.hc[curve.t == tc][0] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_linear_law_fit_matches_polyfit(curve):
+    # the least-squares fit on the Vandermonde matrix is numpy's polyfit
+    law = linear_law_check(curve)
+    rel = 1.0 - curve.t / curve.tc
+    m = (rel > 1e-12) & (rel <= 0.13)
+    ref = np.polynomial.polynomial.polyfit(rel[m], curve.hc[m] / rel[m], 2)[0]
+    assert law.fitted_coefficient == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_hc_is_positive_zero_at_zero_psi():
     assert math.copysign(1.0, hc(0.0)) == 1.0
     assert math.copysign(1.0, hc(-0.0)) == 1.0
