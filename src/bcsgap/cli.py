@@ -11,13 +11,16 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config, tolerance
+from .config import (RunConfig, load_config, temperature, temperature_count,
+                     tolerance)
 from .critical_field import build_hc_curve, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (Discretization, SolverOpts, build_grid,
@@ -26,6 +29,9 @@ from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
                      delta_cv, extract_v, universal_constant)
+
+# at exit, spare the interpreter's final collections the import-time heap
+atexit.register(gc.freeze)
 
 
 def _fmt(x) -> str:
@@ -250,12 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sg = sub.add_parser("simple-gap", help="constant-coupling envelope curve")
     sg.add_argument("--coupling", choices=["u1", "u2"], required=True)
-    sg.add_argument("--t-points", type=int, default=None)
+    sg.add_argument("--t-points", type=temperature_count, default=None)
     sg.add_argument("--csv", default=None, help="explicit CSV path")
     sg.set_defaults(fn=cmd_simple_gap)
 
     g = sub.add_parser("gap", help="solve the gap equation at one temperature")
-    g.add_argument("--t", type=float, required=True)
+    g.add_argument("--t", type=temperature, required=True)
     g.set_defaults(fn=cmd_gap)
 
     for name, fn, helptext in [
@@ -263,9 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
             ("thermo", cmd_thermo, "thermodynamic curve over a temperature grid"),
             ("hc", cmd_hc, "critical-field curve over a temperature grid")]:
         s = sub.add_parser(name, help=helptext)
-        s.add_argument("--t-min", type=float, default=None)
-        s.add_argument("--t-max", type=float, default=None)
-        s.add_argument("--t-points", type=int, default=None)
+        s.add_argument("--t-min", type=temperature, default=None)
+        s.add_argument("--t-max", type=temperature, default=None)
+        s.add_argument("--t-points", type=temperature_count, default=None)
         s.set_defaults(fn=fn)
 
     t = sub.add_parser("tc", help="transition temperature")

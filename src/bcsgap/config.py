@@ -23,6 +23,7 @@ _STRING_KEYS = {"potential.type", "dos.type"}
 _LIST_KEYS = {"potential.f_nodes", "potential.f_values",
               "potential.nodes", "potential.values"}
 KNOWN_KEYS = _SCALAR_KEYS | _STRING_KEYS | _LIST_KEYS
+MIN_T_POINTS = 8
 
 
 class RunConfig:
@@ -84,6 +85,20 @@ def tolerance(text: str) -> float:
     if not 0.0 < float(text) < np.inf:
         raise ValueError(f"not a finite positive number: {text}")
     return float(text)
+
+
+def temperature(text: str) -> float:
+    """A finite, nonnegative temperature; anything else raises ValueError."""
+    if not 0.0 <= float(text) < np.inf:
+        raise ValueError(f"not a finite nonnegative number: {text}")
+    return float(text)
+
+
+def temperature_count(text: str) -> int:
+    """A temperature-grid size, at least MIN_T_POINTS as for grids.t_points."""
+    if int(text) < MIN_T_POINTS:
+        raise ValueError(f"fewer than {MIN_T_POINTS} temperatures: {text}")
+    return int(text)
 
 
 def _auto_tolerance(text: str) -> float | None:
@@ -154,8 +169,8 @@ def load_config(path: str | None) -> RunConfig:
     t_points = _get(items, defaults, "grids.t_points", 33, int)
     if energy_points < 16:
         raise ConfigError("grids.energy_points must be at least 16")
-    if t_points < 8:
-        raise ConfigError("grids.t_points must be at least 8")
+    if t_points < MIN_T_POINTS:
+        raise ConfigError(f"grids.t_points must be at least {MIN_T_POINTS}")
 
     quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, tolerance)
     # absent and 'auto' both resolve to the solver default, echoed as 'auto'

@@ -1,3 +1,5 @@
+import gc
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +132,68 @@ def test_cli_rejects_non_finite_physics(tmp_path, line, args):
     assert cp.returncode == 2
     assert "Traceback" not in cp.stderr
     assert "finite" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("gap", "--t", "nan"),
+    ("thermo", "--t-min", "nan"),
+    ("gap", "--t", "inf"),
+    ("sweep", "--t-points", "0"),
+    ("simple-gap", "--coupling", "u1", "--t-points", "-3"),
+    ("thermo", "--t-points", "2"),
+], ids="_".join)
+def test_cli_rejects_bad_temperature_flags(tmp_path, args):
+    # each once ended in a traceback, or exited 0 with T = inf or a nan C_V
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), *args, timeout=60)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert f"argument {args[-2]}:" in cp.stderr
+
+
+# registered before bcsgap.cli is imported, so atexit (last in, first out)
+# runs it after the CLI's own exit hook
+EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('freeze_count', gc.get_freeze_count()))\n"
+    "import bcsgap.cli as cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def run_exit_probe(*args: str) -> tuple[subprocess.CompletedProcess, list, int]:
+    """Run the CLI in a fresh interpreter with block-buffered stdout; returns
+    the process, its stdout lines before the probe's, and the freeze count."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    cp = subprocess.run([sys.executable, "-c", EXIT_PROBE, *args],
+                        capture_output=True, text=True, env=env, timeout=60)
+    *lines, probe = cp.stdout.splitlines()
+    name, count = probe.split()
+    assert name == "freeze_count"
+    return cp, lines, int(count)
+
+
+def test_cli_process_freezes_heap_at_exit(tmp_path):
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    cp, lines, frozen = run_exit_probe("--config", cfg,
+                                       "--out", str(tmp_path / "child"), "tc")
+    assert cp.returncode == 0, cp.stderr
+    assert frozen > 0
+    # in process the caller keeps collecting: main itself freezes nothing
+    before = gc.get_freeze_count()
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "here"),
+                     "--quiet", "tc"]) == 0
+    assert gc.get_freeze_count() == before
+    meta = (tmp_path / "here" / "tc.meta").read_text()
+    assert (tmp_path / "child" / "tc.meta").read_text() == meta
+    assert len(lines) == 1 and f"Tc = {lines[0]}" in meta.splitlines()
+
+
+def test_cli_process_freezes_heap_after_config_error(tmp_path):
+    bad = write(tmp_path / "bad.cfg", "not_a_key = 3\n")
+    cp, lines, frozen = run_exit_probe("--config", bad, "tc")
+    assert cp.returncode == 2
+    assert frozen > 0 and lines == []
+    assert cp.stderr.startswith("configuration error:")
 
 
 def test_cli_tol_override_reaches_sidecar(tmp_path):
