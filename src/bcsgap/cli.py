@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, load_config, temperature, temperature_count,
                      tolerance)
-from .critical_field import build_hc_curve, linear_law_check
+from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (Discretization, SolverOpts, build_grid,
                          contraction_diagnostics, find_Tc, solve_at_T, sweep)
@@ -209,12 +209,7 @@ def cmd_hc(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
     v = extract_v(disc, tc)
-    # user grid plus a dyadic refinement toward T_c for the linear-law fit,
-    # sorted and deduplicated by hand: np.unique would import numpy.ma
-    base = _t_grid(args, cfg, tc)
-    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
-    ts = np.sort(np.concatenate([base, ladder]))
-    ts = ts[np.append(True, ts[1:] != ts[:-1]) & (ts >= 0.0) & (ts <= tc)]
+    ts = hc_temperatures(_t_grid(args, cfg, tc), tc)
     surface = sweep(ts, disc, opts, tc=tc)
     curve = build_hc_curve(surface, v, disc, opts)
     law = linear_law_check(curve)

@@ -24,6 +24,7 @@ _LIST_KEYS = {"potential.f_nodes", "potential.f_values",
               "potential.nodes", "potential.values"}
 KNOWN_KEYS = _SCALAR_KEYS | _STRING_KEYS | _LIST_KEYS
 MIN_T_POINTS = 8
+MAX_T_POINTS = 100_000
 
 
 class RunConfig:
@@ -95,9 +96,9 @@ def temperature(text: str) -> float:
 
 
 def temperature_count(text: str) -> int:
-    """A temperature-grid size, at least MIN_T_POINTS as for grids.t_points."""
-    if int(text) < MIN_T_POINTS:
-        raise ValueError(f"fewer than {MIN_T_POINTS} temperatures: {text}")
+    """A temperature-grid size in [MIN_T_POINTS, MAX_T_POINTS], as grids.t_points."""
+    if not MIN_T_POINTS <= int(text) <= MAX_T_POINTS:
+        raise ValueError(f"not {MIN_T_POINTS} to {MAX_T_POINTS} temperatures: {text}")
     return int(text)
 
 
@@ -169,8 +170,9 @@ def load_config(path: str | None) -> RunConfig:
     t_points = _get(items, defaults, "grids.t_points", 33, int)
     if energy_points < 16:
         raise ConfigError("grids.energy_points must be at least 16")
-    if t_points < MIN_T_POINTS:
-        raise ConfigError(f"grids.t_points must be at least {MIN_T_POINTS}")
+    if not MIN_T_POINTS <= t_points <= MAX_T_POINTS:
+        raise ConfigError(f"grids.t_points must be at least {MIN_T_POINTS} "
+                          f"and at most {MAX_T_POINTS}")
 
     quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, tolerance)
     # absent and 'auto' both resolve to the solver default, echoed as 'auto'

@@ -61,6 +61,18 @@ class LinearLawReport(NamedTuple):
     n_points: int
 
 
+def hc_temperatures(base: np.ndarray, tc: float) -> np.ndarray:
+    """base on [0, T_c] plus the ladder T_c(1 - 2^-k), k = 3..10, that
+    linear_law_check fits, less any ladder point within 1e-12 T_c of base.
+
+    Sorted and deduplicated by hand, as np.unique would import numpy.ma.
+    """
+    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
+    near = np.any(np.abs(ladder[:, None] - base) <= 1e-12 * tc, axis=1)
+    ts = np.sort(np.concatenate([base, ladder[~near]]))
+    return ts[np.append(True, ts[1:] != ts[:-1]) & (ts >= 0.0) & (ts <= tc)]
+
+
 def build_hc_curve(surface, v: VFunction, disc: Discretization,
                    opts: SolverOpts | None = None) -> HcCurve:
     """Field and slope over a solved surface.

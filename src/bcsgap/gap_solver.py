@@ -20,14 +20,15 @@ as T approaches T_c, where plain Picard contracts at roughly
 1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it runs
 from subsolution seeds and whenever residual histories are recorded.  With
 measured residual ratio q its distance to the fixed point is about
-residual * q / (1 - q); it stops only when that estimate is inside the
+residual * q / (1 - q); it stops only when that estimate is inside half the
 tolerance, so a slow contraction cannot terminate on a deceptively small
-residual.
+residual, and the reference lands well inside tol of the fixed point.
 
 T_c is where the Perron root of core(tanh(xi/2T)/xi), the map linearized at
 u = 0, falls through 1 as T rises: the exact zero/nonzero boundary of the
-iterated map.  find_Tc bisects on that test, to 1e-8 * tau_2, and it is the
-test of solve_at_T's zero shortcut.
+iterated map.  find_Tc finds that root with the package's one bracketed root
+finder, to a bracket 1e-15 * tau_2 wide by default, and the same Perron root
+is the test of solve_at_T's zero shortcut.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .errors import ConfigError, NumericalError
 from .interpolate import MonotoneCubic
 from .model import PhysicalParams, PotentialSpec
 from .quadrature import composite_gauss
+from .rootfind import solve_bracketed
 from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0
 from .special import sech2
 
@@ -124,7 +126,7 @@ class SolverOpts(NamedTuple):
         return self.tol if self.tol is not None else 1e-10 * delta2_zero
 
     def resolved_t_tol(self, tau2: float) -> float:
-        return self.t_tol if self.t_tol is not None else 1e-8 * tau2
+        return self.t_tol if self.t_tol is not None else 1e-15 * tau2
 
 
 class Discretization:
@@ -180,15 +182,20 @@ def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
         return u / e, xi2 / (e2 * e), np.zeros_like(u)
     y = e / (2.0 * t)
     th = np.tanh(y)
-    s2 = sech2(y)
-    return (u / e * th, xi2 / (e2 * e) * th + u2 / (2.0 * t * e2) * s2,
-            -u / (2.0 * t * t) * s2)
+    # sech^2/2T first: it is 0 wherever a factor T*T would underflow to 0
+    s2t = sech2(y) / (2.0 * t)
+    return u / e * th, xi2 / (e2 * e) * th + u2 / e2 * s2t, -u * s2t / t
+
+
+def _perron_at_zero(disc: Discretization, t: float) -> float:
+    """Perron root of the map linearized at u = 0, at T = t."""
+    w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
+    return disc.spectral_radius(w)
 
 
 def _supercritical(disc: Discretization, t: float) -> bool:
     """Whether the map linearized at u = 0 has Perron root above 1 at T = t."""
-    w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
-    return disc.spectral_radius(w) > 1.0
+    return _perron_at_zero(disc, t) > 1.0
 
 
 def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
@@ -279,7 +286,7 @@ def solve_at_T(t: float, disc: Discretization,
         else:
             c_next = g
             q = max(ratios) if ratios else 0.0
-            done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= tol
+            done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= 0.5 * tol
 
         if done:
             return result(c_next, it, res)
@@ -310,31 +317,20 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
             grid: EnergyGrid | None = None) -> float:
     """Transition temperature: boundary of the zero-solution region.
 
-    Bisection on [tau_1, tau_2] against the Perron test behind solve_at_T's
-    zero shortcut (see module docstring): solves from T_c up return the zero
-    slice, and solves below it a nonzero fixed point.
+    The root of rho(T) - 1 on [tau_1, tau_2], rho the Perron root behind
+    solve_at_T's zero shortcut (see module docstring), to a final bracket
+    t_tol wide.  The end returned has rho <= 1, so a solve at the reported
+    T_c takes the shortcut: solves from T_c up return the zero slice, and
+    solves below it a nonzero fixed point.
     """
     opts = opts or SolverOpts()
     if grid is None:
         grid = build_grid(params)
     disc = Discretization(kernel, grid)
-    tau1 = solve_tau(params.u1, params)
     tau2 = solve_tau(params.u2, params)
-    t_tol = opts.resolved_t_tol(tau2)
-
-    lo, hi = tau1, tau2
-    if not _supercritical(disc, lo) or _supercritical(disc, hi):
-        raise NumericalError(
-            "T_c bracket invalid: zero predicate has the same value at tau_1 and tau_2")
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        if _supercritical(disc, mid):
-            lo = mid
-        else:
-            hi = mid
-    # return the zero-side endpoint so a solve exactly at the reported T_c
-    # lands on the subcritical fast path deterministically
-    return hi
+    return solve_bracketed(lambda t: _perron_at_zero(disc, t) - 1.0,
+                           solve_tau(params.u1, params), tau2,
+                           atol=opts.resolved_t_tol(tau2))
 
 
 def contraction_diagnostics(disc: Discretization, tau: float,

@@ -1,15 +1,21 @@
-"""Bracketed scalar root finding: bisection plus a safeguarded secant polish."""
+"""Bracketed scalar root finding: Illinois regula falsi with a bisection guard."""
 from __future__ import annotations
 
 from .errors import NumericalError
 
+# relative width of the final bracket: two ulps of its larger end
+_RTOL = 4e-16
 
-def solve_bracketed(f, lo: float, hi: float, *, rtol: float = 1e-12,
-                    atol: float = 0.0, max_iter: int = 200) -> float:
-    """Root of f in [lo, hi]; f(lo) and f(hi) must have opposite signs.
 
-    Bisection narrows the bracket; once it is small, secant steps accelerate
-    but are rejected whenever they leave the current bracket.
+def solve_bracketed(f, lo: float, hi: float, *, atol: float = 0.0) -> float:
+    """Root of f in [lo, hi], lo < hi; f(lo) and f(hi) must have opposite signs.
+
+    Each step takes the regula falsi point of the bracket, halving the f value
+    kept at an end that survives twice in a row (Illinois); after three steps
+    in a row that fail to halve the bracket, it bisects.  It stops once the
+    bracket is at most 4e-16 * max(|a|, |b|) + atol wide, and returns the end
+    of that bracket where f has the sign of f(hi) (or a point where f is
+    exactly 0).
     """
     flo = f(lo)
     fhi = f(hi)
@@ -20,45 +26,30 @@ def solve_bracketed(f, lo: float, hi: float, *, rtol: float = 1e-12,
     if (flo > 0) == (fhi > 0):
         raise NumericalError("root bracket invalid: same sign at both ends")
 
+    # b always has the sign of f(hi); kept is the end the last step kept.
+    # Every step shrinks the bracket strictly, so the loop ends.
     a, b, fa, fb = lo, hi, flo, fhi
-    for _ in range(max_iter):
+    kept, slow = None, 0
+    while True:
         width = b - a
-        if width <= rtol * max(abs(a), abs(b)) + atol:
-            break
-        # secant candidate from the bracket endpoints
-        m = 0.5 * (a + b)
-        if fb != fa:
-            s = b - fb * (b - a) / (fb - fa)
-            if not (a < s < b):
-                s = m
-        else:
-            s = m
+        if width <= _RTOL * max(abs(a), abs(b)) + atol:
+            return b
+        s = b - fb * (b - a) / (fb - fa)
+        if slow >= 3 or not a < s < b:
+            s = 0.5 * (a + b)
+            if s in (a, b):
+                return b  # a and b are adjacent doubles
         fs = f(s)
         if fs == 0.0:
             return s
-        if (fs > 0) == (fa > 0):
-            a, fa = s, fs
-        else:
+        if (fs > 0) == (fb > 0):
             b, fb = s, fs
-        # guarantee progress: bisect whenever the secant stalls on one side
-        if (b - a) > 0.5 * width:
-            fm = f(m := 0.5 * (a + b))
-            if fm == 0.0:
-                return m
-            if (fm > 0) == (fa > 0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-    return 0.5 * (a + b)
-
-
-def grow_bracket_up(f, lo: float, hi: float, *, factor: float = 2.0,
-                    max_grow: int = 60):
-    """Increase ``hi`` geometrically until f changes sign on [lo, hi]."""
-    flo = f(lo)
-    for _ in range(max_grow):
-        fhi = f(hi)
-        if (flo > 0) != (fhi > 0) or fhi == 0.0:
-            return lo, hi
-        hi *= factor
-    raise NumericalError("failed to bracket root while growing interval")
+            if kept == "a":
+                fa *= 0.5
+            kept = "a"
+        else:
+            a, fa = s, fs
+            if kept == "b":
+                fb *= 0.5
+            kept = "b"
+        slow = 0 if b - a <= 0.5 * width else slow + 1

@@ -9,7 +9,9 @@ tau_3 = tau_0 / 2 used by the contraction diagnostics.
 
 The gap integral is one fixed 7-point Gauss rule on panels of width <= 1/2 in
 ln(xi): its singularities all lie at arg xi = +-pi/2 for every T and Delta, so
-it converges geometrically, to about 1e-15, with no tolerance to set.
+it converges geometrically, to about 1e-15, with no tolerance to set.  Every
+root (tau, Delta(T), tau_0, z0) comes from rootfind.solve_bracketed on a
+closed-form bracket, to its fixed relative width of 4e-16.
 """
 from __future__ import annotations
 
@@ -22,14 +24,13 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .model import PhysicalParams
 from .quadrature import composite_gauss
-from .rootfind import grow_bracket_up, solve_bracketed
+from .rootfind import solve_bracketed
 
 
 @lru_cache(maxsize=None)
 def solve_z0() -> float:
     """Unique positive root of 2/z = tanh z (about 2.0653)."""
-    return solve_bracketed(lambda z: 2.0 / z - math.tanh(z), 1.5, 2.5,
-                           rtol=1e-15)
+    return solve_bracketed(lambda z: 2.0 / z - math.tanh(z), 1.5, 2.5)
 
 
 @lru_cache(maxsize=None)
@@ -66,12 +67,12 @@ def solve_tau(u_const: float, params: PhysicalParams) -> float:
     if u_const * math.log(om / eps) <= 1.0:
         raise NumericalError("no transition for this coupling/cutoff")
 
-    # f(0) = u_const * ln(om/eps) - 1 > 0, so T = 0 brackets the root from below
+    # f(0) = u_const * ln(om/eps) - 1 > 0, and tanh y < y gives
+    # gap_rhs(u_const, T, 0) < u_const * (om - eps) / 2T, so f < 0 at the top
     def f(t):
         return gap_rhs(u_const, t, 0.0, params) - 1.0
 
-    lo, hi = grow_bracket_up(f, 0.0, om)
-    return solve_bracketed(f, lo, hi, rtol=1e-12)
+    return solve_bracketed(f, 0.0, 0.5 * u_const * (om - eps))
 
 
 def solve_simple_gap(t: float, u_const: float, params: PhysicalParams) -> float:
@@ -85,8 +86,8 @@ def solve_simple_gap(t: float, u_const: float, params: PhysicalParams) -> float:
     def f(delta):
         return gap_rhs(u_const, t, delta, params) - 1.0
 
-    lo, hi = grow_bracket_up(f, 0.0, 10.0 * params.hbar_omega_d)
-    return solve_bracketed(f, lo, hi, rtol=1e-12,
+    # Delta(T) <= Delta(0), and gap_rhs falls with Delta
+    return solve_bracketed(f, 0.0, 1.01 * delta_at_zero(u_const, params),
                            atol=1e-15 * params.hbar_omega_d)
 
 
@@ -100,7 +101,7 @@ def solve_tau0(params: PhysicalParams) -> float:
     def h(t):
         return gap_rhs(params.u1, t, 2.0 * z0 * t, params) - 1.0
 
-    return solve_bracketed(h, 1e-6 * tau1, tau1 * (1.0 - 1e-12), rtol=1e-12)
+    return solve_bracketed(h, 1e-6 * tau1, tau1 * (1.0 - 1e-12))
 
 
 def tau3(params: PhysicalParams) -> float:

@@ -62,14 +62,14 @@ def psi(t: float, u: GapSlice, disc: Discretization) -> float:
     e = np.hypot(qn, uu)
     u2 = uu * uu
     delta = u2 / (e + qn)  # E - xi without cancellation
-    if t == 0.0:
-        integrand = -delta * delta / e
-    else:
-        th = np.tanh(e / (2.0 * t))
+    integrand = -delta * delta / e  # -2 delta + u^2/E, the T = 0 part
+    if t > 0.0:
         b = np.exp(-qn / t)
         # ln(1+e^(-E/T)) - ln(1+e^(-xi/T)), stable for E close to xi
         dlog = np.log1p(b * np.expm1(-delta / t) / (1.0 + b))
-        integrand = -2.0 * delta + u2 / e * th - 4.0 * t * dlog
+        # tanh(E/2T) = 1 - 2 fermi(E/T); at a T too small for any Fermi
+        # factor to register, this is the T = 0 integrand bit for bit
+        integrand = integrand - 2.0 * u2 / e * fermi(e / t) - 4.0 * t * dlog
     return disc.kernel.params.n0 * float(qw @ integrand)
 
 
@@ -95,7 +95,7 @@ def psi_derivative(t: float, u: GapSlice, dc: np.ndarray,
     term1 = -2.0 * uu / e * dd * 2.0 * fermi(e / t)  # 1 - tanh = 2*fermi
     term2 = -(uu * u2) / (e2 * e) * dd * th
 
-    k1 = u2 / (2.0 * t * e2) * s2 * (uu * dd - e2 / t)
+    k1 = u2 / e2 * (s2 / (2.0 * t)) * (uu * dd - e2 / t)
     b = np.exp(-qn / t)
     k2 = -4.0 * np.log1p(b * np.expm1(-delta / t) / (1.0 + b))
     k3 = 4.0 * qn / t * fermi(qn / t)
@@ -170,7 +170,8 @@ def _thermal(t: float, params: PhysicalParams, dos: DosModel):
     off = float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t))))
     cv_shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
     cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
-    return -2.0 * t * (shell + off), 0.5 / (t * t) * (cv_shell + cv_off)
+    # divided by T twice, not by T^2, which underflows below T ~ 1e-154
+    return -2.0 * t * (shell + off), 0.5 * (cv_shell + cv_off) / t / t
 
 
 def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
@@ -319,7 +320,8 @@ def build_thermo_curve(surface, disc: Discretization,
         j = min(max(i, 1), n - 2)
         h1 = ts[j] - ts[j - 1]
         h2 = ts[j + 1] - ts[j]
-        f2 = 2.0 * (total[j - 1] / (h1 * (h1 + h2)) - total[j] / (h1 * h2)
-                    + total[j + 1] / (h2 * (h1 + h2)))
+        # divided differences: no product of two spacings, which underflows
+        f2 = 2.0 * ((total[j + 1] - total[j]) / h2
+                    - (total[j] - total[j - 1]) / h1) / (h1 + h2)
         cvs[i] = -ts[i] * f2
     return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cvs))

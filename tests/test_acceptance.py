@@ -20,6 +20,7 @@ from bcsgap import (ConstantPotential, Discretization, PhysicalParams,
                     psi_second_derivative_at_tc, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, solve_z0, sweep,
                     universal_constant, validate_params)
+from bcsgap.critical_field import hc_temperatures
 from bcsgap.gap_solver import du_dT_at_fixed_point
 from bcsgap.special import sech2
 from bcsgap.thermo import g_weight
@@ -254,9 +255,7 @@ def test_criterion_08_thermodynamic_endpoints(weak):
 @pytest.fixture(scope="module")
 def hc_bundle(weak):
     disc, opts, tc, v = (weak[key] for key in ("disc", "opts", "tc", "v"))
-    base = np.linspace(0.0, tc, 25)
-    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
-    ts = np.unique(np.concatenate([base, ladder]))
+    ts = hc_temperatures(np.linspace(0.0, tc, 25), tc)
     t0 = time.time()
     surf = sweep(ts, disc, opts, tc=tc)
     curve = build_hc_curve(surf, v, disc, opts)

@@ -63,6 +63,8 @@ def test_load_config_rejects_small_grids(tmp_path):
         load_config(write(tmp_path / "c.cfg", "grids.energy_points = 8\n"))
     with pytest.raises(ConfigError, match="at least 8"):
         load_config(write(tmp_path / "c.cfg", "grids.t_points = 4\n"))
+    with pytest.raises(ConfigError, match="at most 100000"):
+        load_config(write(tmp_path / "c.cfg", "grids.t_points = 100000000000\n"))
 
 
 def test_load_config_separable_and_tabulated(tmp_path):
@@ -141,6 +143,7 @@ def test_cli_rejects_non_finite_physics(tmp_path, line, args):
     ("sweep", "--t-points", "0"),
     ("simple-gap", "--coupling", "u1", "--t-points", "-3"),
     ("thermo", "--t-points", "2"),
+    ("thermo", "--t-points", "100000000000"),
 ], ids="_".join)
 def test_cli_rejects_bad_temperature_flags(tmp_path, args):
     # each once ended in a traceback, or exited 0 with T = inf or a nan C_V
@@ -263,6 +266,25 @@ def test_cli_gap_and_tc(tmp_path):
     assert 0.02 < tc < 0.065
 
 
+def test_cli_temperatures_below_underflow_are_zero_temperature(tmp_path):
+    # T^2 and 1/T^2 * sech^2 once underflowed: a ZeroDivisionError traceback
+    # from thermo, and RuntimeWarnings from gap
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+
+    def run(out, *args):
+        cmd = [sys.executable, "-W", "error", "-m", "bcsgap", "--quiet",
+               "--config", cfg, "--out", str(tmp_path / out), *args]
+        cp = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert cp.returncode == 0 and cp.stderr == "", cp.stderr
+        return np.loadtxt(tmp_path / out / f"{args[0]}.csv", delimiter=",",
+                          skiprows=1)
+
+    rows = run("thermo", "thermo", "--t-min", "0", "--t-max", "1e-300")
+    assert np.all(rows[:, 1:] == rows[0, 1:])
+    assert np.array_equal(run("tiny", "gap", "--t", "1e-300"),
+                          run("zero", "gap", "--t", "0"))
+
+
 def test_cli_diagnose_report(tmp_path):
     cfg = write(tmp_path / "c.cfg", FAST_CFG)
     cp = run_cli("--config", cfg, "--out", str(tmp_path), "--quiet",
@@ -308,6 +330,18 @@ def test_cli_vfun_and_hc(tmp_path):
     meta = (tmp_path / "hc.csv.meta").read_text()
     assert "hc0" in meta and "slope_at_Tc" in meta
     assert "coeff_over_hc0" in meta
+
+
+def test_cli_hc_rows_are_distinct_temperatures(tmp_path):
+    # T_c(1 - 2^-3) = 21/24 T_c of the user grid up to a rounding error: the
+    # ladder point once became a second row one ulp away from the grid point
+    cfg = write(tmp_path / "c.cfg", "potential.u0 = 0.32\n")
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), "--quiet",
+                 "hc", "--t-points", "25")
+    assert cp.returncode == 0, cp.stderr
+    rows = np.loadtxt(tmp_path / "hc.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 32
+    assert np.all(np.diff(rows[:, 1]) < 0.0)
 
 
 def test_cli_requests_load_no_lazy_modules(tmp_path):

@@ -9,6 +9,7 @@ from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     linear_law_check, psi, psi_derivative,
                     psi_second_derivative_at_tc, slope_at_tc, solve_at_T,
                     sweep, validate_params)
+from bcsgap.critical_field import hc_temperatures
 from bcsgap.gap_solver import du_dT_at_fixed_point
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
@@ -30,10 +31,7 @@ def v(tc):
 
 @pytest.fixture(scope="module")
 def curve(tc, v):
-    base = np.linspace(0.0, tc, 25)
-    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
-    ts = np.unique(np.concatenate([base, ladder]))
-    surface = sweep(ts, DISC, OPTS, tc=tc)
+    surface = sweep(hc_temperatures(np.linspace(0.0, tc, 25), tc), DISC, OPTS, tc=tc)
     return build_hc_curve(surface, v, DISC, OPTS)
 
 

@@ -510,6 +510,63 @@ ALL_KERNELS = pytest.mark.parametrize(
 
 
 @ALL_KERNELS
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_find_tc_lands_on_the_threshold_in_few_perron_roots(kernel, n, monkeypatch):
+    # the zero-shortcut test bisected down to adjacent doubles is the
+    # threshold; find_Tc reaches it to roundoff, on the zero side
+    grid = build_grid(P, n)
+    disc = Discretization(kernel, grid)
+    lo, hi = solve_tau(P.u1, P), solve_tau(P.u2, P)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if gap_solver._supercritical(disc, mid):
+            lo = mid
+        else:
+            hi = mid
+
+    roots = []
+    radius = Discretization.spectral_radius
+
+    def counted(self, weight):
+        roots.append(1)
+        return radius(self, weight)
+
+    monkeypatch.setattr(Discretization, "spectral_radius", counted)
+    tc = find_Tc(kernel, P, OPTS, grid=grid)
+    assert len(roots) <= 16
+    assert abs(tc - hi) <= 1e-14 * hi
+    assert not gap_solver._supercritical(disc, tc)
+
+
+def test_constant_kernel_tc_and_jump_match_mpmath():
+    # T_c solves u0 * int tanh(xi/2T)/xi = 1; with E^2 = xi^2 + Delta^2 the
+    # same equation gives v = -dDelta^2/dT = F_T / F_D at (T_c, 0), and
+    # Delta C_V = -n0 v^2 / (16 T_c^2) * int g(xi/2T_c) dxi
+    mp = pytest.importorskip("mpmath")
+    tc = find_Tc(K, P, OPTS, grid=GRID)
+    jump = delta_cv(extract_v(DISC, tc), P, tc)
+    with mp.workdps(30):
+        u0, eps, om = mp.mpf(K.u0), mp.mpf(P.epsilon), mp.mpf(P.hbar_omega_d)
+        pieces = [eps, mp.mpf("0.01"), mp.mpf("0.1"), om]
+
+        def shell(f):
+            return mp.quad(f, pieces)
+
+        t = mp.findroot(lambda t: u0 * shell(lambda x: mp.tanh(x / (2 * t)) / x) - 1,
+                        mp.mpf(tc))
+        f_t = shell(lambda x: -mp.sech(x / (2 * t)) ** 2 / (2 * t * t))
+        f_d = shell(lambda x: (mp.sech(x / (2 * t)) ** 2 / (2 * t * x)
+                               - mp.tanh(x / (2 * t)) / x ** 2) / (2 * x))
+        v = f_t / f_d
+
+        def g(x):
+            eta = x / (2 * t)
+            return -(mp.tanh(eta) / eta - mp.sech(eta) ** 2) / eta ** 2
+        ref = -mp.mpf(P.n0) * v * v / (16 * t * t) * shell(g)
+        assert abs(tc - t) <= 1e-13 * t
+        assert abs(jump - ref) <= 1e-12 * ref
+
+
+@ALL_KERNELS
 def test_solves_straddling_tc_change_zero_classification(kernel):
     # find_Tc runs no solve: the zero slice at and above T_c, and a nonzero
     # one below it, are properties of solve_at_T, checked here

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from bcsgap.errors import NumericalError
-from bcsgap.rootfind import grow_bracket_up, solve_bracketed
+from bcsgap.rootfind import solve_bracketed
 
 
 def test_cosine_root():
-    r = solve_bracketed(math.cos, 0.0, 2.0, rtol=1e-14)
+    r = solve_bracketed(math.cos, 0.0, 2.0)
     assert r == pytest.approx(math.pi / 2.0, rel=1e-13)
 
 
 def test_hard_flat_function():
     f = lambda x: x ** 9
-    r = solve_bracketed(f, -1.0, 1.1, rtol=0.0, atol=1e-13)
+    r = solve_bracketed(f, -1.0, 1.1, atol=1e-13)
     assert abs(r) < 1e-9
 
 
@@ -28,15 +28,21 @@ def test_invalid_bracket_raises():
         solve_bracketed(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
-def test_grow_bracket():
-    f = lambda x: x - 37.0
-    lo, hi = grow_bracket_up(f, 0.0, 1.0)
-    assert f(lo) < 0 < f(hi)
-    with pytest.raises(NumericalError):
-        grow_bracket_up(lambda x: -1.0, 0.0, 1.0, max_grow=5)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_returns_the_end_with_the_sign_of_f_hi(sign):
+    # a step has no zero, so the answer must be the end on hi's side of it
+    c = 1.0 / 3.0
+    r = solve_bracketed(lambda x: sign * (1.0 if x > c else -1.0), 0.0, 1.0)
+    assert c < r <= c + 4e-16
+
+    def f(x):
+        return sign * (x * x - 2.0)
+    r = solve_bracketed(f, 0.0, 2.0)
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert f(r) * f(2.0) > 0
 
 
 def test_transcendental_against_numpy_refine():
     f = lambda z: 2.0 / z - np.tanh(z)
-    r = solve_bracketed(f, 1.0, 3.0, rtol=1e-15)
+    r = solve_bracketed(f, 1.0, 3.0)
     assert abs(f(r)) < 1e-14
