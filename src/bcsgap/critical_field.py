@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalError
 from .gap_solver import Discretization, GapSlice, SolverOpts, solve_at_T
 from .model import PhysicalParams
-from .thermo import VFunction, _psi_curve, _v_squared_g_deta, psi
+from .thermo import VFunction, _psi_curve, delta_cv, psi
 
 
 def hc(psi_value: float) -> float:
@@ -35,9 +35,9 @@ def hc_slope(psi_value: float, dpsi_value: float) -> float:
 
 
 def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
-    """Closed-form (negative) slope of H_c at the transition."""
-    val = -math.pi * params.n0 / (2.0 * tc * tc) * _v_squared_g_deta(v, tc)
-    return -math.sqrt(val)
+    """Closed-form (negative) slope of H_c at the transition,
+    -sqrt(4 pi Delta C_V / T_c)."""
+    return -math.sqrt(4.0 * math.pi * delta_cv(v, params, tc) / tc)
 
 
 def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
@@ -86,7 +86,7 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     slope_tc = slope_at_tc(v, disc.kernel.params, tc)
 
     ts = surface.t_grid
-    ps, dps = _psi_curve(surface, disc)
+    ps, dps, _ = _psi_curve(surface, disc)
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
     for i, t in enumerate(ts):

@@ -32,6 +32,7 @@ is the test of solve_at_T's zero shortcut.
 """
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -229,8 +230,8 @@ def solve_at_T(t: float, disc: Discretization,
     contraction-scaled stopping rule instead.  An exhausted iteration budget
     raises NumericalError carrying the last iterate.
     """
-    if t < 0:
-        raise ConfigError("temperature must be nonnegative")
+    if t < 0 or 0 < t < sys.float_info.min:
+        raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     opts = opts or SolverOpts()
     params = disc.kernel.params
     x = disc.grid.nodes

@@ -118,12 +118,10 @@ class SimpleGapCurve(NamedTuple):
 
 
 def build_simple_gap_curve(u_const: float, params: PhysicalParams,
-                           t_points: int, t_max: float | None = None) -> SimpleGapCurve:
-    """Sample Delta(T) on a uniform grid, recording the equation residual."""
+                           t_points: int) -> SimpleGapCurve:
+    """Sample Delta(T) on [0, 1.05 tau], recording the equation residual."""
     tau = solve_tau(u_const, params)
-    if t_max is None:
-        t_max = 1.05 * tau
-    ts = np.linspace(0.0, t_max, t_points)
+    ts = np.linspace(0.0, 1.05 * tau, t_points)
     deltas = np.empty_like(ts)
     resid = np.empty_like(ts)
     for i, t in enumerate(ts):

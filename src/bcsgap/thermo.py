@@ -1,4 +1,4 @@
-"""Thermodynamic potentials, specific heats and the jump-ratio machinery.
+"""Thermodynamic potentials, specific heats and the specific-heat jump.
 
 The superconducting potential Psi is integrated with the same grid-aligned
 panel rule the solver uses, over the slice the solver produced (u = Ft c at
@@ -10,6 +10,7 @@ drown in roundoff.
 The limit function v(x) = -d(u^2)/dT at T_c, which carries the jump in the
 specific heat and the slope of H_c at T_c, is read off the bifurcation of the
 iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve.
+Below T_c, C_V^S is the entropy form on each slice, from its u and du/dT.
 """
 from __future__ import annotations
 
@@ -162,8 +163,8 @@ def _ground_energy(params: PhysicalParams, dos: DosModel) -> float:
 
 
 def _thermal(t: float, params: PhysicalParams, dos: DosModel):
-    """(Omega_N(T) - Omega_N(0), C_V^N(T)) at T = t > 0, from one set of
-    Fermi-window rules and one DOS evaluation."""
+    """(Omega_N(T) - Omega_N(0), C_V^N(T), its off-shell part) at T = t > 0,
+    from one set of Fermi-window rules and one DOS evaluation."""
     xs, ws, xo, wo = _windows(t, params)
     n_off = eval_dos(dos, xo)
     shell = 2.0 * params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
@@ -171,7 +172,8 @@ def _thermal(t: float, params: PhysicalParams, dos: DosModel):
     cv_shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
     cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
     # divided by T twice, not by T^2, which underflows below T ~ 1e-154
-    return -2.0 * t * (shell + off), 0.5 * (cv_shell + cv_off) / t / t
+    return (-2.0 * t * (shell + off), 0.5 * (cv_shell + cv_off) / t / t,
+            0.5 * cv_off / t / t)
 
 
 def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
@@ -232,28 +234,13 @@ def extract_v(disc: Discretization, tc: float) -> VFunction:
     return VFunction(disc.grid.nodes, values, abs(jump / entropy - 1.0) * values)
 
 
-def _v_squared_g_deta(v: VFunction, tc: float) -> float:
-    """Integral of v(2 T_c eta)^2 g(eta) d eta over the shell, in eta units."""
+def delta_cv(v: VFunction, params: PhysicalParams, tc: float) -> float:
+    """Specific-heat jump at the transition (positive; g < 0), from the
+    integral of v(2 T_c eta)^2 g(eta) over the shell in eta units."""
     qn, qw = composite_gauss(v.x)
     vv = np.maximum(MonotoneCubic(v.x, v.values)(qn), 0.0)
-    return float(qw @ (vv * vv * g_weight(qn / (2.0 * tc)))) / (2.0 * tc)
-
-
-def psi_second_derivative_at_tc(v: VFunction, params: PhysicalParams,
-                                tc: float) -> float:
-    """Curvature of psi at the transition (negative)."""
-    return params.n0 / (8.0 * tc * tc) * _v_squared_g_deta(v, tc)
-
-
-def delta_cv(v: VFunction, params: PhysicalParams, tc: float) -> float:
-    """Specific-heat jump at the transition (positive; g < 0)."""
-    return -params.n0 / (8.0 * tc) * _v_squared_g_deta(v, tc)
-
-
-def cv_ratio(v: VFunction, params: PhysicalParams, dos: DosModel,
-             tc: float) -> float:
-    """Jump over normal specific heat at T_c, from the explicit expression."""
-    return delta_cv(v, params, tc) / cv_normal(tc, params, dos)
+    return -params.n0 / (8.0 * tc) * (
+        float(qw @ (vv * vv * g_weight(qn / (2.0 * tc)))) / (2.0 * tc))
 
 
 def universal_constant() -> float:
@@ -281,47 +268,45 @@ class ThermoCurve(NamedTuple):
     cv_super: np.ndarray
 
 
-def _psi_curve(surface, disc: Discretization):
-    """Psi and dPsi/dT on every slice of a solved surface.
+def _cv_shell(t: float, u: GapSlice, dc: np.ndarray,
+              disc: Discretization) -> float:
+    """Shell part of C_V^S at T = t > 0, the entropy form on the slice:
+    (n0/T) * integral of sech^2(E/2T) (E^2/T - u du/dT), du/dT = Ft @ dc."""
+    uu = disc.Ft @ u.coef
+    e2 = disc.qn * disc.qn + uu * uu
+    w = sech2(np.sqrt(e2) / (2.0 * t)) * (e2 / t - uu * (disc.Ft @ dc))
+    return disc.kernel.params.n0 * float(disc.qw @ w) / t
 
-    Both are 0 on zero slices (T >= T_c), and dPsi/dT is 0 at T = 0.
+
+def _psi_curve(surface, disc: Discretization):
+    """Psi, dPsi/dT and the shell part of C_V^S on every slice of a surface.
+
+    All three are 0 on zero slices (T >= T_c), and the last two at T = 0.
     """
     n = len(surface.slices)
-    ps, dps = np.zeros(n), np.zeros(n)
+    ps, dps, shell = np.zeros(n), np.zeros(n), np.zeros(n)
     for i, sl in enumerate(surface.slices):
         t = float(surface.t_grid[i])
         if sl.sup() == 0.0:
             continue
         ps[i] = psi(t, sl, disc)
         if t > 0.0:
-            dps[i] = psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
-    return ps, dps
+            dc = du_dT_at_fixed_point(sl, disc)
+            dps[i] = psi_derivative(t, sl, dc, disc)
+            shell[i] = _cv_shell(t, sl, dc, disc)
+    return ps, dps, shell
 
 
 def build_thermo_curve(surface, disc: Discretization,
                        dos: DosModel) -> ThermoCurve:
-    """Per-temperature thermodynamic records over a solved surface.
-
-    cv_super uses second central differences of Omega_N + Psi on the curve
-    grid (one-sided at the ends), and is cv_normal wherever Psi vanishes
-    identically; everything else is analytic.
+    """Per-temperature thermodynamic records over a solved surface, all
+    analytic: cv_super is cv_normal wherever Psi vanishes identically, and
+    below T_c the off-shell part of cv_normal plus _cv_shell.
     """
     params = disc.kernel.params
     ts = surface.t_grid
-    n = ts.size
-    d_omega, cvn = np.array([_thermal(float(t), params, dos) if t > 0.0 else (0.0, 0.0)
-                             for t in ts]).T
+    d_omega, cvn, cv_off = np.array([_thermal(float(t), params, dos) if t > 0.0
+                                     else (0.0,) * 3 for t in ts]).T
     om_n = _ground_energy(params, dos) + d_omega
-    ps, dps = _psi_curve(surface, disc)
-
-    total = om_n + ps
-    cvs = np.empty(n)
-    for i in range(n):
-        j = min(max(i, 1), n - 2)
-        h1 = ts[j] - ts[j - 1]
-        h2 = ts[j + 1] - ts[j]
-        # divided differences: no product of two spacings, which underflows
-        f2 = 2.0 * ((total[j + 1] - total[j]) / h2
-                    - (total[j] - total[j - 1]) / h1) / (h1 + h2)
-        cvs[i] = -ts[i] * f2
-    return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cvs))
+    ps, dps, shell = _psi_curve(surface, disc)
+    return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cv_off + shell))

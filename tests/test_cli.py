@@ -154,6 +154,21 @@ def test_cli_rejects_bad_temperature_flags(tmp_path, args):
     assert f"argument {args[-2]}:" in cp.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("thermo", "--t-min", "0", "--t-max", "1e-320", "--t-points", "8"),
+    ("thermo", "--t-min", "0", "--t-max", "3e-308", "--t-points", "8"),
+    ("gap", "--t", "5e-324"),
+], ids="_".join)
+def test_cli_rejects_subnormal_temperatures(tmp_path, args):
+    # each once exited 0, with nan in dpsi_dT or after overflow warnings; in
+    # the second only the grid step is subnormal
+    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), *args, timeout=60)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    assert "configuration error: temperature" in cp.stderr
+
+
 # registered before bcsgap.cli is imported, so atexit (last in, first out)
 # runs it after the CLI's own exit hook
 EXIT_PROBE = (

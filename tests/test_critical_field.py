@@ -5,10 +5,9 @@ import pytest
 
 from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     PhysicalParams, SolverOpts, build_grid, build_hc_curve,
-                    extract_v, find_Tc, hc, hc_slope, hc_zero,
-                    linear_law_check, psi, psi_derivative,
-                    psi_second_derivative_at_tc, slope_at_tc, solve_at_T,
-                    sweep, validate_params)
+                    delta_cv, extract_v, find_Tc, hc, hc_slope, hc_zero,
+                    linear_law_check, psi, psi_derivative, slope_at_tc,
+                    solve_at_T, sweep, validate_params)
 from bcsgap.critical_field import hc_temperatures
 from bcsgap.gap_solver import du_dT_at_fixed_point
 
@@ -61,7 +60,7 @@ def test_hc_slope_sign_and_scaling():
 def test_slope_at_tc_negative_and_consistent(tc, v):
     s = slope_at_tc(v, P, tc)
     assert s < 0.0
-    pdd = psi_second_derivative_at_tc(v, P, tc)
+    pdd = -delta_cv(v, P, tc) / tc
     assert s * s == pytest.approx(4.0 * math.pi * abs(pdd), rel=1e-8)
 
 

@@ -4,7 +4,7 @@ import pytest
 from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     NumericalError, PhysicalParams, SeparablePotential,
                     SolverOpts, SqrtBandDos, TabulatedPotential, build_grid,
-                    contraction_diagnostics, cv_ratio, delta_at_zero,
+                    contraction_diagnostics, cv_normal, delta_at_zero,
                     delta_cv, du_dT_at_fixed_point, extract_v,
                     find_Tc, gap_rhs, hc_slope, integrate, psi,
                     psi_derivative, slope_at_tc, solve_at_T,
@@ -327,8 +327,8 @@ def test_jump_ratio_is_grid_independent(kernel):
     for n in (129, 257, 513):
         grid = build_grid(P, n)
         tc = find_Tc(kernel, P, OPTS, grid=grid)
-        ratios.append(cv_ratio(extract_v(Discretization(kernel, grid), tc),
-                               P, dos, tc))
+        ratios.append(delta_cv(extract_v(Discretization(kernel, grid), tc), P, tc)
+                      / cv_normal(tc, P, dos))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
 
 
@@ -348,7 +348,7 @@ def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
             qw @ (MonotoneCubic(v.x, v.values)(qn) * sech2(qn / (2.0 * tc))))
         assert abs(delta_cv(v, P, tc) / entropy - 1.0) <= 1e-7
         assert np.all(v.fit_residual <= 1e-7 * v.values)
-        ratios.append(cv_ratio(v, P, dos, tc))
+        ratios.append(delta_cv(v, P, tc) / cv_normal(tc, P, dos))
     assert np.ptp(ratios) <= 1e-7 * np.mean(ratios)
 
 
