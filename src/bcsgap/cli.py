@@ -41,11 +41,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def _write_kv(path: str, data: dict) -> None:

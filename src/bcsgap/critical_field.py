@@ -104,9 +104,10 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     """Fit the near-transition linear law and compare against the closed form.
 
     Points with 0 < 1 - T/T_c <= t_window enter a least-squares quadratic fit
-    of hc/(1 - T/T_c) (lstsq, as polyfit would import numpy.polynomial); the
-    intercept is the fitted linear coefficient.  For a constant kernel the
-    ratio of that coefficient to hc(0) lands near the textbook 1.74.
+    of hc/(1 - T/T_c), by QR (polyfit would import numpy.polynomial, and
+    NumPy's least-squares solver runs LAPACK's SVD); the intercept is the
+    fitted linear coefficient.  For a constant kernel the ratio of that
+    coefficient to hc(0) lands near the textbook 1.74.
     """
     tc = curve.tc
     rel = 1.0 - curve.t / tc
@@ -115,7 +116,8 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
         raise NumericalError("need at least 4 points near T_c for the linear-law fit")
     d = rel[m]
     z = curve.hc[m] / d
-    coef = np.linalg.lstsq(np.vander(d, 3, increasing=True), z, rcond=None)[0]
+    q, r = np.linalg.qr(np.vander(d, 3, increasing=True))
+    coef = np.linalg.solve(r, q.T @ z)
     fitted = float(coef[0])
     predicted = tc * abs(curve.slope_at_tc)
     return LinearLawReport(fitted, predicted, fitted / curve.hc0, int(m.sum()))

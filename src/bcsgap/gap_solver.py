@@ -166,7 +166,37 @@ class Discretization:
 
     def spectral_radius(self, weight_q: np.ndarray) -> float:
         """Perron root of core(weight_q)."""
-        return float(np.max(np.abs(np.linalg.eigvals(self.core(weight_q)))))
+        return perron(self.core(weight_q))[0]
+
+
+def perron(a: np.ndarray):
+    """Perron root rho and right and left Perron vectors phi, chi of a.
+
+    a is an entrywise positive r-by-r matrix, such as core(w) for any w > 0:
+    each of its columns is Gw^T (w Ft_j), with Gw >= 0 and every column of Ft
+    inside the kernel range (u_1, u_2), so any two columns agree within a
+    factor kappa = u_2/u_1 entry by entry.  By Birkhoff's theorem each
+    product with a then shrinks the projective distance of a positive vector
+    to phi by at least (kappa - 1)/(kappa + 1), so repeated squaring, p =
+    a^(2^k) rescaled, squares that factor at every step and p tends to the
+    rank-one phi chi^T.  Its row sums are phi and its column sums chi, each
+    scaled to sum 1; the squaring stops once phi moves by at most 1e-15, and
+    rho = chi a phi / chi phi is then exact to second order.  For r = 1, rho
+    is a itself.
+    """
+    p = a / a.max()
+    phi = p.sum(axis=1)
+    phi /= phi.sum()
+    for _ in range(64):
+        p = p @ p
+        p /= p.max()
+        prev, phi = phi, p.sum(axis=1)
+        phi /= phi.sum()
+        if abs(phi - prev).max() <= 1e-15:
+            chi = p.sum(axis=0)
+            chi /= chi.sum()
+            return float(chi @ a @ phi / (chi @ phi)), phi, chi
+    raise NumericalError("Perron vector did not converge in 64 squarings")
 
 
 def _gap_terms(disc: Discretization, u: np.ndarray, t: float):

@@ -16,6 +16,7 @@ closed-form bracket, to its fixed relative width of 4e-16.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -77,8 +78,8 @@ def solve_tau(u_const: float, params: PhysicalParams) -> float:
 
 def solve_simple_gap(t: float, u_const: float, params: PhysicalParams) -> float:
     """Gap Delta(T) for a constant coupling; exactly 0 at and above tau."""
-    if t < 0:
-        raise ConfigError("temperature must be nonnegative")
+    if t < 0 or 0 < t < sys.float_info.min:
+        raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     tau = solve_tau(u_const, params)
     if t >= tau:
         return 0.0

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gap_solver import Discretization, GapSlice, du_dT_at_fixed_point
+from .gap_solver import Discretization, GapSlice, du_dT_at_fixed_point, perron
 from .interpolate import MonotoneCubic
 from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss
@@ -206,7 +206,7 @@ class VFunction(NamedTuple):
 def extract_v(disc: Discretization, tc: float) -> VFunction:
     """Near-transition limit v(x) of u^2/(T_c - T), from the bifurcation.
 
-    Let phi and chi be the right and left Perron vectors of the map
+    Let phi and chi be the right and left Perron vectors (perron) of the map
     linearized at zero, A = core(tanh(xi/2T_c)/xi).  To leading order the
     branch leaving c = 0 at T_c is c = a sqrt(T_c - T) phi, with
     a^2 = chi A' phi / chi N(phi) (Lyapunov-Schmidt reduction at a simple
@@ -219,11 +219,7 @@ def extract_v(disc: Discretization, tc: float) -> VFunction:
     params = disc.kernel.params
     qn, qw = disc.qn, disc.qw
     s2 = sech2(qn / (2.0 * tc))
-    a = disc.core(np.tanh(qn / (2.0 * tc)) / qn)
-    vals, right = np.linalg.eig(a)
-    phi = right[:, np.argmax(vals.real)].real
-    vals, left = np.linalg.eig(a.T)
-    chi = left[:, np.argmax(vals.real)].real
+    _, phi, chi = perron(disc.core(np.tanh(qn / (2.0 * tc)) / qn))
     ut = disc.Ft @ phi
     cubic = disc.Gw.T @ (ut ** 3 * g_weight(qn / (2.0 * tc)) / (16.0 * tc ** 3))
     a2 = (chi @ disc.core(-s2 / (2.0 * tc * tc)) @ phi) / (chi @ cubic)

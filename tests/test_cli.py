@@ -158,6 +158,7 @@ def test_cli_rejects_bad_temperature_flags(tmp_path, args):
     ("thermo", "--t-min", "0", "--t-max", "1e-320", "--t-points", "8"),
     ("thermo", "--t-min", "0", "--t-max", "3e-308", "--t-points", "8"),
     ("gap", "--t", "5e-324"),
+    ("diagnose", "--tau", "5e-324"),
 ], ids="_".join)
 def test_cli_rejects_subnormal_temperatures(tmp_path, args):
     # each once exited 0, with nan in dpsi_dT or after overflow warnings; in
@@ -362,16 +363,27 @@ def test_cli_hc_rows_are_distinct_temperatures(tmp_path):
 def test_cli_requests_load_no_lazy_modules(tmp_path):
     # every subcommand in one fresh interpreter: no record generates code at
     # import (dataclasses), and no request reaches numpy.ma (np.unique) or
-    # numpy.polynomial (polyfit), which NumPy imports only on first use
-    cfg = write(tmp_path / "c.cfg", FAST_CFG)
+    # numpy.polynomial (polyfit), which NumPy imports only on first use.  No
+    # request calls LAPACK's general eigensolver or its SVD either; the
+    # tabulated config gives them r-by-r matrices with r > 1 to work on
+    cfgs = [write(tmp_path / "c.cfg", FAST_CFG),
+            write(tmp_path / "t.cfg", "potential.type = tabulated\n"
+                  "potential.nodes = 0.001, 0.5, 1.0\n"
+                  "potential.values = 0.28,0.29,0.30, 0.29,0.31,0.32, 0.30,0.32,0.33\n"
+                  "grids.energy_points = 33\ngrids.t_points = 9\n")]
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import bcsgap.cli as cli\n"
-        f"base = ['--quiet', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]\n"
-        "for argv in (['tc'], ['gap', '--t', '0.02'],\n"
-        "             ['simple-gap', '--coupling', 'u1'], ['sweep'], ['thermo'],\n"
-        "             ['ratio'], ['vfun'], ['hc'], ['diagnose', '--tau', '0.02']):\n"
-        "    assert cli.main(base + argv) == 0, argv\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('LAPACK eigensolver or SVD called')\n"
+        "np.linalg.eig = np.linalg.eigvals = np.linalg.lstsq = refuse\n"
+        f"for cfg in {cfgs!r}:\n"
+        f"    base = ['--quiet', '--config', cfg, '--out', {str(tmp_path)!r}]\n"
+        "    for argv in (['tc'], ['gap', '--t', '0.02'],\n"
+        "                 ['simple-gap', '--coupling', 'u1'], ['sweep'], ['thermo'],\n"
+        "                 ['ratio'], ['vfun'], ['hc'], ['diagnose', '--tau', '0.02']):\n"
+        "        assert cli.main(base + argv) == 0, (cfg, argv)\n"
         "print(' '.join(m for m in ('dataclasses', 'numpy.ma', 'numpy.polynomial')\n"
         "               if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script],

@@ -10,7 +10,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     psi_derivative, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, sweep, validate_params)
 import bcsgap.gap_solver as gap_solver
-from bcsgap.gap_solver import Discretization
+from bcsgap.gap_solver import Discretization, perron
 from bcsgap.interpolate import MonotoneCubic
 from bcsgap.quadrature import composite_gauss
 from bcsgap.special import sech2
@@ -228,6 +228,26 @@ def test_factored_operator_matches_dense_reference(kernel, grid, bilinear):
     f_q = np.column_stack([MonotoneCubic(x, col)(qn) for col in f.T])
     rho = np.max(np.abs(np.linalg.eigvals((g * (qw * weight)[:, None]).T @ f_q)))
     assert abs(disc.spectral_radius(weight) - rho) <= 1e-12 * rho
+
+
+@pytest.mark.parametrize("kappa", [1.4, 1e3])
+@pytest.mark.parametrize("r", [1, 2, 9, 40])
+def test_perron_matches_lapack(r, kappa):
+    # repeated squaring against the general eigensolver, on seeded positive
+    # matrices with entries in [1, kappa]; vectors compared at sum 1
+    a = np.random.default_rng(r).uniform(1.0, kappa, (r, r))
+    rho, phi, chi = perron(a)
+    vals = np.linalg.eigvals(a)
+    assert abs(rho - np.max(np.abs(vals))) <= 1e-13 * rho
+    for mat, vec in ((a, phi), (a.T, chi)):
+        vals, vecs = np.linalg.eig(mat)
+        ref = vecs[:, np.argmax(np.abs(vals))].real
+        ref /= ref.sum()
+        assert np.max(np.abs(vec / vec.sum() - ref)) <= 1e-12 * np.max(ref)
+    assert np.linalg.norm(a @ phi - rho * phi) <= 1e-13 * rho * np.linalg.norm(phi)
+    assert np.linalg.norm(chi @ a - rho * chi) <= 1e-13 * rho * np.linalg.norm(chi)
+    if r == 1:
+        assert rho == a[0, 0]
 
 
 @pytest.mark.parametrize("kernel", [separable_kernel(P), tabulated_kernel(P)],
