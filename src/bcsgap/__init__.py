@@ -15,8 +15,8 @@ from .gap_solver import (ContractionReport, Discretization, EnergyGrid,
                          contraction_diagnostics, du_dT_at_fixed_point,
                          find_Tc, solve_at_T, sweep)
 from .thermo import (ThermoCurve, VFunction, build_thermo_curve, cv_normal,
-                     delta_cv, extract_v, g_weight, omega_normal, psi,
-                     psi_derivative, universal_constant)
+                     extract_v, g_weight, omega_normal, psi, psi_derivative,
+                     universal_constant)
 from .critical_field import (HcCurve, LinearLawReport, build_hc_curve, hc,
                              hc_slope, hc_zero, linear_law_check, slope_at_tc)
 from .config import RunConfig, load_config
@@ -35,8 +35,8 @@ __all__ = [
     "build_grid", "contraction_diagnostics",
     "du_dT_at_fixed_point", "find_Tc", "solve_at_T", "sweep",
     "ThermoCurve", "VFunction", "build_thermo_curve", "cv_normal",
-    "delta_cv", "extract_v", "g_weight", "omega_normal", "psi",
-    "psi_derivative", "universal_constant",
+    "extract_v", "g_weight", "omega_normal", "psi", "psi_derivative",
+    "universal_constant",
     "HcCurve", "LinearLawReport", "build_hc_curve", "hc", "hc_slope",
     "hc_zero", "linear_law_check", "slope_at_tc",
     "RunConfig", "load_config",

@@ -28,7 +28,7 @@ from .gap_solver import (Discretization, SolverOpts, build_grid,
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
-                     delta_cv, extract_v, universal_constant)
+                     extract_v, universal_constant)
 
 # at exit, spare the interpreter's final collections the import-time heap
 atexit.register(gc.freeze)
@@ -179,8 +179,7 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 def cmd_ratio(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
     tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
-    v = extract_v(disc, tc)
-    dcv = delta_cv(v, cfg.params, tc)
+    dcv = extract_v(disc, tc).jump
     cvn = cv_normal(tc, cfg.params, cfg.dos)
     ratio = dcv / cvn
     uni = universal_constant()
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tol is not None:
-            cfg.quad_tol = cfg.resolved["tolerances.quad_tol"] = args.tol
+            cfg.resolved["tolerances.quad_tol"] = args.tol
             cfg.defaults_applied.pop("tolerances.quad_tol", None)
         return args.fn(args, cfg)
     except ConfigError as exc:

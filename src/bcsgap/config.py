@@ -28,19 +28,19 @@ MAX_T_POINTS = 100_000
 
 
 class RunConfig:
-    """A loaded configuration; the CLI overrides quad_tol in place for --tol."""
+    """A loaded configuration; the CLI's --tol overrides
+    resolved["tolerances.quad_tol"] in place."""
 
     def __init__(self, params: PhysicalParams, potential: PotentialSpec,
                  dos: DosModel, energy_points: int, t_points: int,
-                 quad_tol: float, solver_tol: float | None,
-                 t_tol: float | None, resolved: dict | None = None,
+                 solver_tol: float | None, t_tol: float | None,
+                 resolved: dict | None = None,
                  defaults_applied: dict | None = None):
         self.params = params
         self.potential = potential
         self.dos = dos
         self.energy_points = energy_points
         self.t_points = t_points
-        self.quad_tol = quad_tol
         self.solver_tol = solver_tol
         self.t_tol = t_tol
         self.resolved = {} if resolved is None else resolved
@@ -190,4 +190,4 @@ def load_config(path: str | None) -> RunConfig:
     if ptype == "constant":
         resolved["potential.u0"] = u0
     return RunConfig(params, potential, dos, energy_points, t_points,
-                     quad_tol, solver_tol, t_tol, resolved, defaults)
+                     solver_tol, t_tol, resolved, defaults)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gap_solver import Discretization, GapSlice, SolverOpts, solve_at_T
-from .model import PhysicalParams
-from .thermo import VFunction, _psi_curve, delta_cv, psi
+from .thermo import VFunction, _psi_curve, psi
 
 
 def hc(psi_value: float) -> float:
@@ -34,10 +33,10 @@ def hc_slope(psi_value: float, dpsi_value: float) -> float:
     return -4.0 * math.pi * dpsi_value / math.sqrt(-8.0 * math.pi * psi_value)
 
 
-def slope_at_tc(v: VFunction, params: PhysicalParams, tc: float) -> float:
+def slope_at_tc(v: VFunction, tc: float) -> float:
     """Closed-form (negative) slope of H_c at the transition,
-    -sqrt(4 pi Delta C_V / T_c)."""
-    return -math.sqrt(4.0 * math.pi * delta_cv(v, params, tc) / tc)
+    -sqrt(4 pi Delta C_V / T_c), with Delta C_V = v.jump."""
+    return -math.sqrt(4.0 * math.pi * v.jump / tc)
 
 
 def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
@@ -83,7 +82,7 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     tc = surface.tc
     if tc is None:
         raise NumericalError("surface carries no transition temperature")
-    slope_tc = slope_at_tc(v, disc.kernel.params, tc)
+    slope_tc = slope_at_tc(v, tc)
 
     ts = surface.t_grid
     ps, dps, _ = _psi_curve(surface, disc)

@@ -51,8 +51,12 @@ class EnergyGrid:
         n = np.asarray(nodes, dtype=float)
         if n.ndim != 1 or n.size < 16:
             raise ConfigError("energy grid needs at least 16 ascending nodes")
-        if np.any(np.diff(n) <= 0):
+        h = float(np.diff(n).min())
+        if h <= 0:
             raise ConfigError("energy grid nodes must be strictly ascending")
+        if h * h < sys.float_info.min:  # the interpolant divides by h^2
+            raise ConfigError(f"energy grid spacing {h!r} squares to below the "
+                              f"smallest normal double; raise epsilon ({float(n[0])!r})")
         n.setflags(write=False)
         self.nodes = n
 
@@ -218,15 +222,15 @@ def _gap_terms(disc: Discretization, u: np.ndarray, t: float):
     return u / e * th, xi2 / (e2 * e) * th + u2 / e2 * s2t, -u * s2t / t
 
 
-def _perron_at_zero(disc: Discretization, t: float) -> float:
-    """Perron root of the map linearized at u = 0, at T = t."""
-    w = (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
-    return disc.spectral_radius(w)
+def weight_at_zero(disc: Discretization, t: float) -> np.ndarray:
+    """Weight tanh(xi/2T)/xi of the map linearized at u = 0, at T = t, at the
+    quadrature nodes; 1/xi at T = 0."""
+    return (1.0 / disc.qn) if t == 0.0 else np.tanh(disc.qn / (2.0 * t)) / disc.qn
 
 
 def _supercritical(disc: Discretization, t: float) -> bool:
     """Whether the map linearized at u = 0 has Perron root above 1 at T = t."""
-    return _perron_at_zero(disc, t) > 1.0
+    return disc.spectral_radius(weight_at_zero(disc, t)) > 1.0
 
 
 def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
@@ -359,9 +363,9 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
         grid = build_grid(params)
     disc = Discretization(kernel, grid)
     tau2 = solve_tau(params.u2, params)
-    return solve_bracketed(lambda t: _perron_at_zero(disc, t) - 1.0,
-                           solve_tau(params.u1, params), tau2,
-                           atol=opts.resolved_t_tol(tau2))
+    return solve_bracketed(
+        lambda t: disc.spectral_radius(weight_at_zero(disc, t)) - 1.0,
+        solve_tau(params.u1, params), tau2, atol=opts.resolved_t_tol(tau2))
 
 
 def contraction_diagnostics(disc: Discretization, tau: float,

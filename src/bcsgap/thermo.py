@@ -9,7 +9,8 @@ drown in roundoff.
 
 The limit function v(x) = -d(u^2)/dT at T_c, which carries the jump in the
 specific heat and the slope of H_c at T_c, is read off the bifurcation of the
-iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve.
+iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve,
+which also gives the jump on v at the solver's own quadrature nodes.
 Below T_c, C_V^S is the entropy form on each slice, from its u and du/dT.
 """
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gap_solver import Discretization, GapSlice, du_dT_at_fixed_point, perron
-from .interpolate import MonotoneCubic
+from .gap_solver import (Discretization, GapSlice, du_dT_at_fixed_point,
+                         perron, weight_at_zero)
 from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss
 from .special import fermi, sech2
@@ -191,16 +192,17 @@ def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
 
 
 class VFunction(NamedTuple):
-    """v(x) = -d(u^2)/dT at T_c on the grid nodes x.
+    """v(x) = -d(u^2)/dT at T_c on the grid nodes x, and the jump it carries.
 
-    fit_residual is |m| * v, where m is the relative mismatch between the
-    two forms of the specific-heat jump: the entropy form, linear in v, and
-    the integral of v^2 g that delta_cv takes, quadratic in v.  They agree
-    only when the amplitude of v is right.
+    jump is Delta C_V = -n0/(16 T_c^2) (integral of v^2 g(xi/2T_c)) > 0.
+    fit_residual is |m| * v, m the relative mismatch between jump, quadratic
+    in v, and the entropy form, linear in v: they agree only when the
+    amplitude of v is right.
     """
     x: np.ndarray
     values: np.ndarray
     fit_residual: np.ndarray
+    jump: float
 
 
 def extract_v(disc: Discretization, tc: float) -> VFunction:
@@ -213,30 +215,24 @@ def extract_v(disc: Discretization, tc: float) -> VFunction:
     eigenvalue).  A' = dA/dT = core(-sech^2(xi/2T_c)/2T_c^2), and
     N(phi) = Gw^T[(Ft phi)^3 k3] is the cubic term of the map, with
     k3 = (1/2 xi) d/dxi[tanh(xi/2T_c)/xi] = g(xi/2T_c)/(16 T_c^3).  The core
-    is positive and A' and N negative, so a^2 > 0; v = a^2 (F phi)^2.  No
+    is positive and A' and N negative, so a^2 > 0; v = a^2 (F phi)^2, and
+    both forms of the jump take a^2 (Ft phi)^2 at the quadrature nodes.  No
     gap equation is solved.
     """
     params = disc.kernel.params
     qn, qw = disc.qn, disc.qw
     s2 = sech2(qn / (2.0 * tc))
-    _, phi, chi = perron(disc.core(np.tanh(qn / (2.0 * tc)) / qn))
+    g = g_weight(qn / (2.0 * tc))
+    _, phi, chi = perron(disc.core(weight_at_zero(disc, tc)))
     ut = disc.Ft @ phi
-    cubic = disc.Gw.T @ (ut ** 3 * g_weight(qn / (2.0 * tc)) / (16.0 * tc ** 3))
+    cubic = disc.Gw.T @ (ut ** 3 * g / (16.0 * tc ** 3))
     a2 = (chi @ disc.core(-s2 / (2.0 * tc * tc)) @ phi) / (chi @ cubic)
 
     values = a2 * (disc.F @ phi) ** 2
-    jump = delta_cv(VFunction(disc.grid.nodes, values, None), params, tc)
-    entropy = params.n0 / (2.0 * tc) * float(qw @ (a2 * ut * ut * s2))
-    return VFunction(disc.grid.nodes, values, abs(jump / entropy - 1.0) * values)
-
-
-def delta_cv(v: VFunction, params: PhysicalParams, tc: float) -> float:
-    """Specific-heat jump at the transition (positive; g < 0), from the
-    integral of v(2 T_c eta)^2 g(eta) over the shell in eta units."""
-    qn, qw = composite_gauss(v.x)
-    vv = np.maximum(MonotoneCubic(v.x, v.values)(qn), 0.0)
-    return -params.n0 / (8.0 * tc) * (
-        float(qw @ (vv * vv * g_weight(qn / (2.0 * tc)))) / (2.0 * tc))
+    vq = a2 * ut * ut
+    jump = -params.n0 / (16.0 * tc * tc) * float(qw @ (vq * vq * g))
+    m = jump / (params.n0 / (2.0 * tc) * float(qw @ (vq * s2))) - 1.0
+    return VFunction(disc.grid.nodes, values, abs(m) * values, jump)
 
 
 def universal_constant() -> float:

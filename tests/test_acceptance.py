@@ -15,7 +15,7 @@ from bcsgap import (ConstantPotential, Discretization, PhysicalParams,
                     SeparablePotential, SolverOpts, SqrtBandDos, build_grid,
                     build_hc_curve,
                     contraction_diagnostics, cv_normal, delta_at_zero,
-                    delta_cv, extract_v, find_Tc, gap_rhs, hc, hc_zero,
+                    extract_v, find_Tc, gap_rhs, hc, hc_zero,
                     integrate, linear_law_check, psi, psi_derivative,
                     slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, solve_z0, sweep,
@@ -74,7 +74,7 @@ def test_criterion_01_universal_constant():
 def test_criterion_02_full_pipeline_ratio(weak):
     t0 = time.time()
     tc = weak["tc"]
-    ratio = delta_cv(weak["v"], weak["p"], tc) / cv_normal(tc, weak["p"], weak["dos"])
+    ratio = weak["v"].jump / cv_normal(tc, weak["p"], weak["dos"])
     shell = 1.0 / (2.0 * tc)
     cutoff = weak["p"].epsilon / (2.0 * tc)
     ok = abs(ratio - RATIO_TARGET) <= 0.02 * RATIO_TARGET and cutoff <= 1e-4
@@ -311,8 +311,8 @@ def test_criterion_09d_flat_at_zero_temperature(weak):
 
 def test_criterion_09e_slope_identity(weak):
     p, tc, v = weak["p"], weak["tc"], weak["v"]
-    s = slope_at_tc(v, p, tc)
-    pdd = -delta_cv(v, p, tc) / tc
+    s = slope_at_tc(v, tc)
+    pdd = -v.jump / tc
     dev = abs(s * s / (4.0 * math.pi * abs(pdd)) - 1.0)
     ok = dev <= 1e-8
     report("09e slope identity across two routes", ok,

@@ -10,6 +10,7 @@ import pytest
 from bcsgap import ConfigError, Discretization, cli, load_config
 import bcsgap.gap_solver as gap_solver
 import bcsgap.thermo as thermo
+from bcsgap.interpolate import MonotoneCubic
 from bcsgap.thermo import JUMP_RATIO_WIDE_SHELL
 
 
@@ -28,6 +29,12 @@ FAST_CFG = (
     "potential.u0 = 0.3\n"
     "grids.energy_points = 49\n"
     "grids.t_points = 9\n"
+)
+TABULATED_CFG = (
+    "potential.type = tabulated\n"
+    "potential.nodes = 0.001, 0.5, 1.0\n"
+    "potential.values = 0.28,0.29,0.30, 0.29,0.31,0.32, 0.30,0.32,0.33\n"
+    "grids.energy_points = 33\ngrids.t_points = 9\n"
 )
 
 
@@ -168,6 +175,23 @@ def test_cli_rejects_subnormal_temperatures(tmp_path, args):
     assert cp.returncode == 2
     assert "Traceback" not in cp.stderr
     assert "configuration error: temperature" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("tc",), ("gap", "--t", "0.02"), ("ratio",), ("vfun",),
+    ("thermo", "--t-points", "9"), ("hc", "--t-points", "9"),
+    ("diagnose", "--tau", "0.02"),
+], ids=lambda v: v[0])
+def test_cli_rejects_cutoff_whose_grid_spacing_squares_to_zero(tmp_path, args):
+    # at epsilon = 1e-300 the square of the first grid spacing underflowed to
+    # 0 in the interpolant: a divide warning, then a Perron failure (exit 3)
+    cfg = write(tmp_path / "c.cfg", FAST_CFG + "epsilon = 1e-300\n")
+    cmd = [sys.executable, "-W", "error", "-m", "bcsgap", "--config", cfg,
+           "--out", str(tmp_path), *args]
+    cp = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("configuration error:")
+    assert "epsilon" in cp.stderr and "Traceback" not in cp.stderr
 
 
 # registered before bcsgap.cli is imported, so atexit (last in, first out)
@@ -367,10 +391,7 @@ def test_cli_requests_load_no_lazy_modules(tmp_path):
     # request calls LAPACK's general eigensolver or its SVD either; the
     # tabulated config gives them r-by-r matrices with r > 1 to work on
     cfgs = [write(tmp_path / "c.cfg", FAST_CFG),
-            write(tmp_path / "t.cfg", "potential.type = tabulated\n"
-                  "potential.nodes = 0.001, 0.5, 1.0\n"
-                  "potential.values = 0.28,0.29,0.30, 0.29,0.31,0.32, 0.30,0.32,0.33\n"
-                  "grids.energy_points = 33\ngrids.t_points = 9\n")]
+            write(tmp_path / "t.cfg", TABULATED_CFG)]
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -434,3 +455,34 @@ def test_cli_builds_one_discretization_per_request(tmp_path, monkeypatch,
     assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet",
                      *args]) == 0
     assert 1 <= len(builds) <= most
+
+
+@pytest.mark.parametrize("text", [FAST_CFG, TABULATED_CFG],
+                         ids=["constant", "tabulated"])
+@pytest.mark.parametrize("args", [("ratio",), ("hc", "--t-points", "9")],
+                         ids=lambda v: v[0])
+def test_cli_builds_monotone_cubics_only_in_discretization(tmp_path, monkeypatch,
+                                                           args, text):
+    # the jump is integrated on v at the quadrature nodes, so the columns of
+    # each Discretization's Ft, r per build, are the only monotone cubics
+    depth, builds, ranks = [0], [], []
+    disc_init, cubic_init = Discretization.__init__, MonotoneCubic.__init__
+
+    def disc_counted(self, kernel, grid):
+        depth[0] += 1
+        try:
+            disc_init(self, kernel, grid)
+        finally:
+            depth[0] -= 1
+        ranks.append(self.F.shape[1])
+
+    def cubic_counted(self, *a, **kw):
+        builds.append(depth[0])
+        cubic_init(self, *a, **kw)
+
+    monkeypatch.setattr(Discretization, "__init__", disc_counted)
+    monkeypatch.setattr(MonotoneCubic, "__init__", cubic_counted)
+    cfg = write(tmp_path / "c.cfg", text)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet",
+                     *args]) == 0
+    assert ranks and builds == [1] * sum(ranks)

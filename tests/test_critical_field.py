@@ -5,7 +5,7 @@ import pytest
 
 from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     PhysicalParams, SolverOpts, build_grid, build_hc_curve,
-                    delta_cv, extract_v, find_Tc, hc, hc_slope, hc_zero,
+                    extract_v, find_Tc, hc, hc_slope, hc_zero,
                     linear_law_check, psi, psi_derivative, slope_at_tc,
                     solve_at_T, sweep, validate_params)
 from bcsgap.critical_field import hc_temperatures
@@ -58,14 +58,14 @@ def test_hc_slope_sign_and_scaling():
 
 
 def test_slope_at_tc_negative_and_consistent(tc, v):
-    s = slope_at_tc(v, P, tc)
+    s = slope_at_tc(v, tc)
     assert s < 0.0
-    pdd = -delta_cv(v, P, tc) / tc
+    pdd = -v.jump / tc
     assert s * s == pytest.approx(4.0 * math.pi * abs(pdd), rel=1e-8)
 
 
 def test_hc_slope_approaches_transition_slope(tc, v):
-    s_tc = slope_at_tc(v, P, tc)
+    s_tc = slope_at_tc(v, tc)
     errs = []
     for k in (4, 6, 8):
         t = tc * (1.0 - 2.0 ** -k)
@@ -187,7 +187,7 @@ def test_hc_curve_is_the_solved_field_through_tc(tc, v):
         t = float(ts[i])
         assert curve.hc[i] == pytest.approx(hc(psi(t, surface.slices[i], DISC)),
                                             rel=1e-12)
-    s_tc = slope_at_tc(v, P, tc)
+    s_tc = slope_at_tc(v, tc)
     for k in ks[ks >= 11]:
         i = int(np.flatnonzero(ts == tc * (1.0 - 2.0 ** -float(k)))[0])
         assert abs(curve.dhc_dT[i] / s_tc - 1.0) <= 1e-3

@@ -5,7 +5,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     NumericalError, PhysicalParams, SeparablePotential,
                     SolverOpts, SqrtBandDos, TabulatedPotential, build_grid,
                     contraction_diagnostics, cv_normal, delta_at_zero,
-                    delta_cv, du_dT_at_fixed_point, extract_v,
+                    du_dT_at_fixed_point, extract_v,
                     find_Tc, gap_rhs, hc_slope, integrate, psi,
                     psi_derivative, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, sweep, validate_params)
@@ -347,7 +347,7 @@ def test_jump_ratio_is_grid_independent(kernel):
     for n in (129, 257, 513):
         grid = build_grid(P, n)
         tc = find_Tc(kernel, P, OPTS, grid=grid)
-        ratios.append(delta_cv(extract_v(Discretization(kernel, grid), tc), P, tc)
+        ratios.append(extract_v(Discretization(kernel, grid), tc).jump
                       / cv_normal(tc, P, dos))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
 
@@ -355,7 +355,7 @@ def test_jump_ratio_is_grid_independent(kernel):
 @THRESHOLD_KERNELS
 def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
     # the entropy form of the jump, n0/(2 T_c) (integral of v sech^2), is
-    # linear in v and delta_cv's integral of v^2 g quadratic: they agree
+    # linear in v and v.jump, the integral of v^2 g, quadratic: they agree
     # only when the amplitude of v is right
     dos = SqrtBandDos(P.n0, P)
     ratios = []
@@ -366,9 +366,9 @@ def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
         qn, qw = composite_gauss(grid.nodes)
         entropy = P.n0 / (2.0 * tc) * float(
             qw @ (MonotoneCubic(v.x, v.values)(qn) * sech2(qn / (2.0 * tc))))
-        assert abs(delta_cv(v, P, tc) / entropy - 1.0) <= 1e-7
+        assert abs(v.jump / entropy - 1.0) <= 1e-7
         assert np.all(v.fit_residual <= 1e-7 * v.values)
-        ratios.append(delta_cv(v, P, tc) / cv_normal(tc, P, dos))
+        ratios.append(v.jump / cv_normal(tc, P, dos))
     assert np.ptp(ratios) <= 1e-7 * np.mean(ratios)
 
 
@@ -381,7 +381,7 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, P, OPTS, grid=GRID)
     v = extract_v(disc, tc)
-    s_tc = slope_at_tc(v, P, tc)
+    s_tc = slope_at_tc(v, tc)
     opts = SolverOpts(tol=1e-15 * solve_simple_gap(0.0, P.u2, P))
     v_err, slope_err = [], []
     for k in (12, 16, 20, 24):
@@ -563,7 +563,7 @@ def test_constant_kernel_tc_and_jump_match_mpmath():
     # Delta C_V = -n0 v^2 / (16 T_c^2) * int g(xi/2T_c) dxi
     mp = pytest.importorskip("mpmath")
     tc = find_Tc(K, P, OPTS, grid=GRID)
-    jump = delta_cv(extract_v(DISC, tc), P, tc)
+    jump = extract_v(DISC, tc).jump
     with mp.workdps(30):
         u0, eps, om = mp.mpf(K.u0), mp.mpf(P.epsilon), mp.mpf(P.hbar_omega_d)
         pieces = [eps, mp.mpf("0.01"), mp.mpf("0.1"), om]

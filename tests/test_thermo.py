@@ -6,7 +6,7 @@ import pytest
 from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
                     PhysicalParams, SeparablePotential, SolverOpts,
                     SqrtBandDos, TabulatedPotential, build_grid,
-                    build_thermo_curve, cv_normal, delta_cv, extract_v,
+                    build_thermo_curve, cv_normal, extract_v,
                     find_Tc, g_weight, integrate, integrate_tail,
                     omega_normal, psi, psi_derivative, solve_at_T, solve_tau,
                     sweep, universal_constant, validate_params)
@@ -14,7 +14,7 @@ from bcsgap.gap_solver import du_dT_at_fixed_point
 from bcsgap.interpolate import MonotoneCubic
 from bcsgap.model import eval_dos
 from bcsgap.special import sech2
-from bcsgap.thermo import VFunction, ZETA3
+from bcsgap.thermo import ZETA3
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
@@ -244,22 +244,12 @@ def test_extract_v_constant_kernel(tc_const, v_const):
     assert np.mean(v.values) == pytest.approx(v0, rel=1e-2)
 
 
-def test_delta_cv_scaling_and_zero(tc_const, v_const):
-    zero_v = VFunction(GRID.nodes, np.zeros(GRID.count), np.zeros(GRID.count))
-    assert delta_cv(zero_v, P, tc_const) == 0.0
-    base = delta_cv(v_const, P, tc_const)
-    for c in (2.0, 4.0):
-        vc = VFunction(v_const.x, c * v_const.values, v_const.fit_residual)
-        assert delta_cv(vc, P, tc_const) == pytest.approx(c * c * base, rel=1e-12)
-    assert base > 0.0
-
-
 def test_delta_cv_constant_v_quadrature_oracle(tc_const, v_const):
     v0 = float(np.mean(v_const.values))
     ehat, b = P.epsilon / (2 * tc_const), 1.0 / (2 * tc_const)
     g_int = integrate(lambda e: -g_weight(e), ehat, b, 1e-13).value
     expected = P.n0 * v0 ** 2 / (8.0 * tc_const) * g_int
-    assert delta_cv(v_const, P, tc_const) == pytest.approx(expected, rel=1e-6)
+    assert v_const.jump == pytest.approx(expected, rel=1e-6)
 
 
 def test_delta_cv_constant_kernel_matches_mpmath(tc_const, v_const):
@@ -284,7 +274,7 @@ def test_delta_cv_constant_kernel_matches_mpmath(tc_const, v_const):
                      / (2 * x))
         dfdt = -shell(s2) / (2 * tc * tc)
         ref = float(dfdt / dfds * P.n0 / (2 * tc) * shell(s2))
-    assert delta_cv(v_const, P, tc_const) == pytest.approx(ref, rel=1e-8)
+    assert v_const.jump == pytest.approx(ref, rel=1e-8)
 
 
 def test_cv_ratio_wide_shell_band():
@@ -296,7 +286,7 @@ def test_cv_ratio_wide_shell_band():
     tc = find_Tc(k, p6, OPTS, grid=g)
     assert 1.0 / (2.0 * tc) >= 25.0 and p6.epsilon / (2.0 * tc) <= 1e-4
     v = extract_v(Discretization(k, g), tc)
-    ratio = delta_cv(v, p6, tc) / cv_normal(tc, p6, SqrtBandDos(1.0, p6))
+    ratio = v.jump / cv_normal(tc, p6, SqrtBandDos(1.0, p6))
     assert abs(ratio - 12.0 / (7.0 * ZETA3)) <= 0.02 * 12.0 / (7.0 * ZETA3)
 
 
@@ -325,6 +315,13 @@ def _tabulated(params):
     nodes = np.linspace(params.epsilon, params.hbar_omega_d, 5)
     return TabulatedPotential(nodes, 0.29 + 0.02 * np.sin(np.add.outer(nodes, nodes)),
                               params)
+
+
+@pytest.mark.parametrize("kernel", [K, _separable(P), _tabulated(P)],
+                         ids=["constant", "separable", "tabulated"])
+def test_jump_positive_for_every_kernel_type(kernel):
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    assert extract_v(Discretization(kernel, GRID), tc).jump > 0.0
 
 
 @pytest.mark.parametrize("kernel", [K, _separable(P), _tabulated(P)],
@@ -415,7 +412,7 @@ def test_cv_super_meets_the_jump_at_tc(default_curve):
     _, disc, tc, _ = default_curve
     ts = tc * (1.0 - 2.0 ** -np.array([16.0, 20.0, 24.0]))
     curve = build_thermo_curve(sweep(ts, disc, OPTS, tc=tc), disc, DOS)
-    jump = delta_cv(extract_v(disc, tc), P, tc)
+    jump = extract_v(disc, tc).jump
     dev = np.abs((curve.cv_super - curve.cv_normal) / jump - 1.0)
     assert dev[1] <= 0.1 * dev[0]
     assert dev[2] <= 3e-7
