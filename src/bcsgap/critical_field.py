@@ -64,12 +64,12 @@ def hc_temperatures(base: np.ndarray, tc: float) -> np.ndarray:
     """base on [0, T_c] plus the ladder T_c(1 - 2^-k), k = 3..10, that
     linear_law_check fits, less any ladder point within 1e-12 T_c of base.
 
-    Sorted and deduplicated by hand, as np.unique would import numpy.ma.
+    Sorted and deduplicated as a set of floats; np.unique would import numpy.ma.
     """
     ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
     near = np.any(np.abs(ladder[:, None] - base) <= 1e-12 * tc, axis=1)
-    ts = np.sort(np.concatenate([base, ladder[~near]]))
-    return ts[np.append(True, ts[1:] != ts[:-1]) & (ts >= 0.0) & (ts <= tc)]
+    ts = set(np.concatenate([base, ladder[~near]]).tolist())
+    return np.array(sorted(t for t in ts if 0.0 <= t <= tc), dtype=float)
 
 
 def build_hc_curve(surface, v: VFunction, disc: Discretization,
@@ -102,10 +102,11 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
 def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     """Fit the near-transition linear law and compare against the closed form.
 
-    Points with 0 < 1 - T/T_c <= t_window enter a least-squares quadratic fit
-    of hc/(1 - T/T_c), by QR (polyfit would import numpy.polynomial, and
-    NumPy's least-squares solver runs LAPACK's SVD); the intercept is the
-    fitted linear coefficient.  For a constant kernel the ratio of that
+    Points with 0 < d = 1 - T/T_c <= t_window enter a least-squares quadratic
+    fit of hc/d, whose value at d = 0 is the fitted linear coefficient.  It
+    expands in p_0 = 1, p_1 = d - a_0 and p_2 = (d - a_1) p_1 - b_1, orthogonal
+    on the points (Forsythe, J. SIAM 5 (1957) 74): dot products only, with no
+    LAPACK and no numpy.polynomial.  For a constant kernel the ratio of that
     coefficient to hc(0) lands near the textbook 1.74.
     """
     tc = curve.tc
@@ -115,8 +116,13 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
         raise NumericalError("need at least 4 points near T_c for the linear-law fit")
     d = rel[m]
     z = curve.hc[m] / d
-    q, r = np.linalg.qr(np.vander(d, 3, increasing=True))
-    coef = np.linalg.solve(r, q.T @ z)
-    fitted = float(coef[0])
+    a0 = float(d.mean())
+    p1 = d - a0
+    n1 = float(p1 @ p1)
+    a1, b1 = float((d * p1) @ p1) / n1, n1 / d.size
+    p2 = (d - a1) * p1 - b1
+    # p_0, p_1 and p_2 are 1, -a0 and a0 a1 - b1 at d = 0
+    fitted = (float(z.mean()) - a0 * float(z @ p1) / n1
+              + (a0 * a1 - b1) * float(z @ p2) / float(p2 @ p2))
     predicted = tc * abs(curve.slope_at_tc)
     return LinearLawReport(fitted, predicted, fitted / curve.hc0, int(m.sum()))

@@ -248,15 +248,16 @@ def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
                            disc.Gw.T @ dphi_dT)
 
 
-def solve_at_T(t: float, disc: Discretization,
-               opts: SolverOpts | None = None) -> GapSlice:
+def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
+               start: np.ndarray | None = None) -> GapSlice:
     """Fixed point of the gap operator at one temperature.
 
     Iterates on the kernel coefficients c from the image of the constant
-    level opts.seed (default Delta_2(0)); residuals and steps are
-    measured on the grid values F c.  At and above tau_2, and wherever the
-    operator linearized at zero is subcritical (T >= T_c), the zero slice is
-    returned outright.  Each iteration takes a Newton step while the iterate
+    level opts.seed (default Delta_2(0)), or from start when neither a seed
+    nor residual recording is set; residuals and steps are measured on the
+    grid values F c.  At and above tau_2, and wherever the operator
+    linearized at zero is subcritical (T >= T_c), the zero slice is returned
+    outright.  Each iteration takes a Newton step while the iterate
     is a supersolution (u - Au >= -tol everywhere) and stops once the
     residual and the step are inside the tolerance, or the residual is
     inside it and stops falling.  From a subsolution seed, and always when
@@ -289,7 +290,8 @@ def solve_at_T(t: float, disc: Discretization,
     tol = opts.resolved_tol(d20)
 
     seed = d20 if opts.seed is None else float(opts.seed)
-    c = disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0]
+    c = (start if start is not None and opts.seed is None and history is None
+         else disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0])
 
     eye = np.eye(c.size)
     res_prev = np.inf
@@ -334,7 +336,8 @@ def solve_at_T(t: float, disc: Discretization,
 
 def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
           tc: float | None = None) -> GapSurface:
-    """Independent per-temperature solves assembled in grid order."""
+    """Per-temperature solves in ascending order, each started from the last
+    nonzero slice u below it, a supersolution there: A_T' u <= A_T u for T' > T."""
     params = disc.kernel.params
     ts = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(ts) <= 0):
@@ -343,7 +346,10 @@ def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
     if ts[0] < 0 or ts[-1] > tau2 * (1 + 1e-12):
         raise ConfigError("temperature grid must lie within [0, tau_2]")
 
-    slices = [solve_at_T(float(t), disc, opts) for t in ts]
+    slices, start = [], None
+    for t in ts:
+        slices.append(solve_at_T(float(t), disc, opts, start))
+        start = slices[-1].coef if slices[-1].sup() > 0.0 else start
     return GapSurface(ts, slices, tc)
 
 

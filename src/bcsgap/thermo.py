@@ -142,15 +142,16 @@ def _below_shell(reach: float, width: float, params: PhysicalParams):
     return x, 2.0 * (top - d) * wd
 
 
-def _windows(t: float, params: PhysicalParams):
-    """Fermi-window rules at T = t > 0: the shell [eps, om], and the
-    off-shell windows below -om and above om joined into one rule."""
+def _windows(t: float, params: PhysicalParams, dos: DosModel):
+    """Fermi-window rules at T = t > 0: the shell [eps, om], and the off-shell
+    windows below -om and above om joined into one rule, with the DOS on it."""
     eps, om = params.epsilon, params.hbar_omega_d
     reach = _WINDOW * t
     xs, ws = _panels(eps, min(om - eps, reach), t)
     xb, wb = _below_shell(reach, t, params)
     xa, wa = _panels(om, reach, t)
-    return xs, ws, np.concatenate([xb, xa]), np.concatenate([wb, wa])
+    xo = np.concatenate([xb, xa])
+    return xs, ws, xo, np.concatenate([wb, wa]), eval_dos(dos, xo)
 
 
 def _ground_energy(params: PhysicalParams, dos: DosModel) -> float:
@@ -163,24 +164,27 @@ def _ground_energy(params: PhysicalParams, dos: DosModel) -> float:
     return -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
 
 
-def _thermal(t: float, params: PhysicalParams, dos: DosModel):
-    """(Omega_N(T) - Omega_N(0), C_V^N(T), its off-shell part) at T = t > 0,
-    from one set of Fermi-window rules and one DOS evaluation."""
-    xs, ws, xo, wo = _windows(t, params)
-    n_off = eval_dos(dos, xo)
+def _omega_thermal(t: float, params: PhysicalParams, rules) -> float:
+    """Omega_N(T) - Omega_N(0) at T = t > 0 on the _windows rules."""
+    xs, ws, xo, wo, n_off = rules
     shell = 2.0 * params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
     off = float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t))))
+    return -2.0 * t * (shell + off)
+
+
+def _cv_parts(t: float, params: PhysicalParams, rules):
+    """(C_V^N(T), its off-shell part) at T = t > 0 on the _windows rules."""
+    xs, ws, xo, wo, n_off = rules
     cv_shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
     cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
     # divided by T twice, not by T^2, which underflows below T ~ 1e-154
-    return (-2.0 * t * (shell + off), 0.5 * (cv_shell + cv_off) / t / t,
-            0.5 * cv_off / t / t)
+    return 0.5 * (cv_shell + cv_off) / t / t, 0.5 * cv_off / t / t
 
 
 def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
     """Normal-state thermodynamic potential (five-integral form)."""
     energy = _ground_energy(params, dos)
-    return energy if t == 0.0 else energy + _thermal(t, params, dos)[0]
+    return energy if t == 0.0 else energy + _omega_thermal(t, params, _windows(t, params, dos))
 
 
 def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
@@ -188,7 +192,7 @@ def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
     closed-form second derivative (no numerical differentiation)."""
     if t < 0.0:
         raise ValueError("cv_normal needs T >= 0")
-    return 0.0 if t == 0.0 else _thermal(t, params, dos)[1]
+    return 0.0 if t == 0.0 else _cv_parts(t, params, _windows(t, params, dos))[0]
 
 
 class VFunction(NamedTuple):
@@ -271,22 +275,19 @@ def _cv_shell(t: float, u: GapSlice, dc: np.ndarray,
 
 
 def _psi_curve(surface, disc: Discretization):
-    """Psi, dPsi/dT and the shell part of C_V^S on every slice of a surface.
-
-    All three are 0 on zero slices (T >= T_c), and the last two at T = 0.
-    """
+    """Psi, dPsi/dT and dc/dT on every slice of a surface: all three 0 (dc/dT
+    None) on zero slices (T >= T_c), and the last two at T = 0."""
     n = len(surface.slices)
-    ps, dps, shell = np.zeros(n), np.zeros(n), np.zeros(n)
+    ps, dps, dcs = np.zeros(n), np.zeros(n), [None] * n
     for i, sl in enumerate(surface.slices):
         t = float(surface.t_grid[i])
         if sl.sup() == 0.0:
             continue
         ps[i] = psi(t, sl, disc)
         if t > 0.0:
-            dc = du_dT_at_fixed_point(sl, disc)
-            dps[i] = psi_derivative(t, sl, dc, disc)
-            shell[i] = _cv_shell(t, sl, dc, disc)
-    return ps, dps, shell
+            dcs[i] = du_dT_at_fixed_point(sl, disc)
+            dps[i] = psi_derivative(t, sl, dcs[i], disc)
+    return ps, dps, dcs
 
 
 def build_thermo_curve(surface, disc: Discretization,
@@ -297,8 +298,15 @@ def build_thermo_curve(surface, disc: Discretization,
     """
     params = disc.kernel.params
     ts = surface.t_grid
-    d_omega, cvn, cv_off = np.array([_thermal(float(t), params, dos) if t > 0.0
-                                     else (0.0,) * 3 for t in ts]).T
+
+    def normal(t):  # one rule set per temperature, freed after use
+        rules = _windows(t, params, dos)
+        return _omega_thermal(t, params, rules), *_cv_parts(t, params, rules)
+
+    d_omega, cvn, cv_off = np.array([normal(float(t)) if t > 0.0 else (0.0,) * 3
+                                     for t in ts]).T
     om_n = _ground_energy(params, dos) + d_omega
-    ps, dps, shell = _psi_curve(surface, disc)
+    ps, dps, dcs = _psi_curve(surface, disc)
+    shell = np.array([0.0 if dc is None else _cv_shell(float(t), sl, dc, disc)
+                      for t, sl, dc in zip(ts, surface.slices, dcs)])
     return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cv_off + shell))

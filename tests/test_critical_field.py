@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
-                    PhysicalParams, SolverOpts, build_grid, build_hc_curve,
+                    PhysicalParams, SeparablePotential, SolverOpts,
+                    TabulatedPotential, build_grid, build_hc_curve,
                     extract_v, find_Tc, hc, hc_slope, hc_zero,
                     linear_law_check, psi, psi_derivative, slope_at_tc,
                     solve_at_T, sweep, validate_params)
-from bcsgap.critical_field import hc_temperatures
+from bcsgap.critical_field import HcCurve, hc_temperatures
 from bcsgap.gap_solver import du_dT_at_fixed_point
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
@@ -167,6 +168,69 @@ def test_linear_law_fit_matches_polyfit(curve):
     m = (rel > 1e-12) & (rel <= 0.13)
     ref = np.polynomial.polynomial.polyfit(rel[m], curve.hc[m] / rel[m], 2)[0]
     assert law.fitted_coefficient == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def polyfit_intercept(curve, t_window=0.13):
+    rel = 1.0 - curve.t / curve.tc
+    m = (rel > 1e-12) & (rel <= t_window)
+    return np.polyfit(rel[m], curve.hc[m] / rel[m], deg=2)[-1]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_linear_law_intercept_matches_polyfit_on_random_points(n):
+    rng = np.random.default_rng(100 + n)
+    tc = 0.04
+    d = np.sort(rng.uniform(1e-3, 0.13, n))
+    z = 0.43 + rng.normal(0.0, 0.05) * d + rng.normal(0.0, 0.5) * d * d \
+        + rng.normal(0.0, 1e-3, n)
+    t = np.concatenate([[0.0, 0.5 * tc], tc * (1.0 - d[::-1]), [tc]])
+    h = np.concatenate([[1.0, 0.7], (z * d)[::-1], [0.0]])
+    curve = HcCurve(t, h, np.zeros_like(t), 1.0, -1.0, tc)
+    law = linear_law_check(curve)
+    assert law.n_points == n
+    assert law.fitted_coefficient == pytest.approx(polyfit_intercept(curve),
+                                                   rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kernel", [
+    SeparablePotential(np.linspace(P.epsilon, P.hbar_omega_d, 9),
+                       np.sqrt(0.30 + 0.04 * np.cos(np.linspace(0.0, np.pi, 9))), P),
+    TabulatedPotential(np.linspace(P.epsilon, P.hbar_omega_d, 5),
+                       0.29 + 0.02 * np.cos(np.subtract.outer(*[np.arange(5.0)] * 2)), P),
+], ids=["separable", "tabulated"])
+def test_linear_law_intercept_matches_polyfit_on_hc_curves(kernel):
+    disc = Discretization(kernel, GRID)
+    t_c = find_Tc(kernel, P, OPTS, grid=GRID)
+    ts = hc_temperatures(np.linspace(0.0, t_c, 25), t_c)
+    curve = build_hc_curve(sweep(ts, disc, OPTS, tc=t_c), extract_v(disc, t_c),
+                           disc, OPTS)
+    assert linear_law_check(curve).fitted_coefficient == pytest.approx(
+        polyfit_intercept(curve), rel=1e-12, abs=0)
+
+
+def unique_reference(base, tc):
+    """The hc grid written with np.unique."""
+    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
+    near = np.any(np.abs(ladder[:, None] - base) <= 1e-12 * tc, axis=1)
+    ts = np.unique(np.concatenate([base, ladder[~near]]))
+    return ts[(ts >= 0.0) & (ts <= tc)]
+
+
+@pytest.mark.parametrize("case", ["holds_ladder_point", "near_ladder_point",
+                                  "below_tc"])
+def test_hc_temperatures_match_unique_reference(case):
+    tc = 0.04
+    base = np.linspace(0.0, tc, 25)
+    if case == "holds_ladder_point":
+        base = np.sort(np.append(base, tc * (1.0 - 2.0 ** -5)))
+    elif case == "near_ladder_point":
+        base = np.sort(np.append(base, tc * (1.0 - 2.0 ** -6) * (1.0 + 5e-13)))
+    else:
+        base = np.linspace(0.0, 0.9 * tc, 25)
+    ts = hc_temperatures(base, tc)
+    ref = unique_reference(base, tc)
+    assert ts.dtype == ref.dtype and np.array_equal(ts, ref)
+    assert np.all(np.diff(ts) > 0.0)
 
 
 def test_hc_is_positive_zero_at_zero_psi():

@@ -10,6 +10,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     psi_derivative, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, sweep, validate_params)
 import bcsgap.gap_solver as gap_solver
+from bcsgap.critical_field import hc_temperatures
 from bcsgap.gap_solver import Discretization, perron
 from bcsgap.interpolate import MonotoneCubic
 from bcsgap.quadrature import composite_gauss
@@ -527,6 +528,37 @@ def test_find_tc_between_envelope_temperatures():
 ALL_KERNELS = pytest.mark.parametrize(
     "kernel", [K, separable_kernel(P), tabulated_kernel(P)],
     ids=["constant", "separable", "tabulated"])
+
+
+@ALL_KERNELS
+@pytest.mark.parametrize("grid_kind", ["linspace", "hc"])
+def test_sweep_warm_start_matches_cold_solves_in_fewer_steps(kernel, grid_kind):
+    # each solve starts from the slice below it, a supersolution at the higher
+    # temperature: the same fixed point as a cold start, never more Newton
+    # steps on any row, and markedly fewer in total
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    ts = (np.linspace(0.0, solve_tau(P.u2, P), 33) if grid_kind == "linspace"
+          else hc_temperatures(np.linspace(0.0, tc, 33), tc))
+    warm = sweep(ts, disc, OPTS, tc=tc).slices
+    cold = [solve_at_T(float(t), disc, OPTS) for t in ts]
+    assert sum(sl.sup() > 0.0 for sl in cold) >= 16
+    for w, c in zip(warm, cold):
+        assert np.max(np.abs(w.values - c.values)) <= 1e-12 * c.sup()
+        assert w.iterations <= c.iterations
+    assert (sum(w.iterations for w in warm)
+            <= 0.8 * sum(c.iterations for c in cold))
+
+
+def test_warm_start_gives_way_to_a_seed_or_recorded_residuals():
+    t = 0.5 * solve_tau(0.3, P)
+    start = solve_at_T(0.4 * solve_tau(0.3, P), DISC, OPTS).coef
+    for opts in (SolverOpts(seed=1e-3 * delta_at_zero(P.u2, P)),
+                 SolverOpts(record_residuals=True)):
+        cold = solve_at_T(t, DISC, opts)
+        warm = solve_at_T(t, DISC, opts, start)
+        assert warm.iterations == cold.iterations
+        assert np.array_equal(warm.values, cold.values)
 
 
 @ALL_KERNELS
