@@ -66,9 +66,9 @@ def hc_temperatures(base: np.ndarray, tc: float) -> np.ndarray:
 
     Sorted and deduplicated as a set of floats; np.unique would import numpy.ma.
     """
-    ladder = tc * (1.0 - 2.0 ** -np.arange(3, 11))
-    near = np.any(np.abs(ladder[:, None] - base) <= 1e-12 * tc, axis=1)
-    ts = set(np.concatenate([base, ladder[~near]]).tolist())
+    pts = base.tolist()
+    ladder = (tc * (1.0 - 2.0 ** -k) for k in range(3, 11))
+    ts = set(pts).union(t for t in ladder if all(abs(t - b) > 1e-12 * tc for b in pts))
     return np.array(sorted(t for t in ts if 0.0 <= t <= tc), dtype=float)
 
 
@@ -112,9 +112,9 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     tc = curve.tc
     rel = 1.0 - curve.t / tc
     m = (rel > 1e-12) & (rel <= t_window)
-    if int(m.sum()) < 4:
-        raise NumericalError("need at least 4 points near T_c for the linear-law fit")
     d = rel[m]
+    if d.size < 4:
+        raise NumericalError("need at least 4 points near T_c for the linear-law fit")
     z = curve.hc[m] / d
     a0 = float(d.mean())
     p1 = d - a0
@@ -125,4 +125,4 @@ def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
     fitted = (float(z.mean()) - a0 * float(z @ p1) / n1
               + (a0 * a1 - b1) * float(z @ p2) / float(p2 @ p2))
     predicted = tc * abs(curve.slope_at_tc)
-    return LinearLawReport(fitted, predicted, fitted / curve.hc0, int(m.sum()))
+    return LinearLawReport(fitted, predicted, fitted / curve.hc0, d.size)

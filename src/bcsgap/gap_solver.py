@@ -8,8 +8,8 @@ interpolation (Ft), and the integral is a 7-point Gauss rule on each grid
 interval, with the weights folded into Gw: the iterated map is
 c -> Gw^T phi_T(Ft c).  For rank 1 Ft c is exactly the monotone cubic
 interpolant of the grid values F c, which is homogeneous of degree one.
-Every linearization of the map is the r-by-r matrix core(w) = (Gw w)^T Ft:
-the Newton Jacobian, du/dT, and the operator linearized at u = 0.
+Every linearization of the map is the r-by-r matrix core(w) = (Gw w)^T Ft,
+and Newton and du/dT solve I - core(dphi/du) x = b by solve_linearized.
 
 The production iteration is Newton's method from the image of the constant
 Delta_2(0), a supersolution (Au <= u) at every T: every kernel value lies
@@ -168,6 +168,23 @@ class Discretization:
         """Matrix of c -> Gw^T (weight * Ft c), the map linearized with weight."""
         return (self.Gw * weight_q[:, None]).T @ self.Ft
 
+    def solve_linearized(self, weight_q: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with (I - core(weight_q)) x = b by Gauss-Jordan elimination without
+        pivoting.  Callers pass dphi/du at u = Ft c, c > 0, a fixed point or a Newton
+        (super)solution: c >= core(phi/u) c, so rho(core(phi/u)) <= 1 by
+        Collatz-Wielandt, and 0 < dphi/du < phi/u gives rho(core(dphi/du)) < 1.  I -
+        core(dphi/du) is then a nonsingular M-matrix (Berman & Plemmons 1994, ch. 6):
+        its pivots, ratios of leading principal minors, are positive, and one that is
+        not raises NumericalError.  Zero slices: solve_at_T and _psi_curve skip them."""
+        m = np.column_stack([np.eye(b.size) - self.core(weight_q), b])
+        for k in range(b.size):
+            if not m[k, k] > 0.0:
+                raise NumericalError(f"pivot {m[k, k]!r} of I - core(w) is not positive")
+            row = m[k] / m[k, k]
+            m -= np.outer(m[:, k], row)
+            m[k] = row
+        return m[:, -1]
+
     def spectral_radius(self, weight_q: np.ndarray) -> float:
         """Perron root of core(weight_q)."""
         return perron(self.core(weight_q))[0]
@@ -244,8 +261,7 @@ def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
     if u.T <= 0.0:
         return np.zeros_like(u.coef)
     _, dphi_du, dphi_dT = _gap_terms(disc, disc.Ft @ u.coef, u.T)
-    return np.linalg.solve(np.eye(u.coef.size) - disc.core(dphi_du),
-                           disc.Gw.T @ dphi_dT)
+    return disc.solve_linearized(dphi_du, disc.Gw.T @ dphi_dT)
 
 
 def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
@@ -293,7 +309,6 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
     c = (start if start is not None and opts.seed is None and history is None
          else disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0])
 
-    eye = np.eye(c.size)
     res_prev = np.inf
     ratios = []
     at_floor = False
@@ -317,7 +332,7 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         if history is None and float(f.min()) >= -tol:
             if at_floor and res <= tol:
                 return result(c, it, res)
-            step = np.linalg.solve(eye - disc.core(dphi_du), c - g)
+            step = disc.solve_linearized(dphi_du, c - g)
             c_next = c - step
             done = res <= tol and float(np.abs(disc.F @ step).max()) <= tol
         else:

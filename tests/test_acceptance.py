@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from bcsgap import (ConstantPotential, Discretization, PhysicalParams,
-                    SeparablePotential, SolverOpts, SqrtBandDos, build_grid,
+from bcsgap import (ConstantPotential, Discretization, FlatShellDos,
+                    PhysicalParams, SeparablePotential, SolverOpts,
+                    SqrtBandDos, TabulatedPotential, build_grid,
                     build_hc_curve,
                     contraction_diagnostics, cv_normal, delta_at_zero,
                     extract_v, find_Tc, gap_rhs, hc, hc_zero,
@@ -83,6 +84,35 @@ def test_criterion_02_full_pipeline_ratio(weak):
            f"dev={(ratio / RATIO_TARGET - 1):+.3%} "
            f"[shell half-width/Tc scale: hw/(2Tc)={shell:.1f}, eps/(2Tc)={cutoff:.2e}] "
            f"runtime={time.time() - t0 + weak['setup_runtime']:.2f}s incl. ladder")
+
+
+def test_criterion_02b_ratio_universal_across_kernel_types():
+    # the paper: the jump ratio at T_c does not depend on the superconductor.
+    # Flat-shell DOS, u1 = 0.8 u0 and u2 = 1.25 u0 at (epsilon, u0) =
+    # (1e-9, 0.1), where T_c ~ 5e-5 sits deep inside the shell; the table is
+    # symmetric, as a pairing kernel is
+    t0 = time.time()
+    u0 = 0.1
+    p = validate_params(PhysicalParams(1e-9, 1.0, 20.0, 1.0, 0.8 * u0, 1.25 * u0))
+    fn = np.linspace(p.epsilon, p.hbar_omega_d, 41)
+    x = np.linspace(p.epsilon, p.hbar_omega_d, 5)
+    table = u0 * (1.0 + 0.025 * (np.sin(np.add.outer(3.0 * x, 2.0 * x))
+                                 + np.sin(np.add.outer(2.0 * x, 3.0 * x))))
+    kernels = {"constant": ConstantPotential(u0, p),
+               "separable": SeparablePotential(
+                   fn, np.sqrt(u0 * (1.0 + 0.1 * np.sin(5.0 * fn))), p),
+               "tabulated": TabulatedPotential(x, table, p)}
+    grid = build_grid(p)
+    devs = {}
+    for name, kernel in kernels.items():
+        tc = find_Tc(kernel, p, grid=grid)
+        jump = extract_v(Discretization(kernel, grid), tc).jump
+        devs[name] = jump / cv_normal(tc, p, FlatShellDos(1.0, p)) / RATIO_TARGET - 1.0
+    runtime = time.time() - t0
+    ok = max(map(abs, devs.values())) <= 1e-4 and runtime < 1.0
+    report("02b ratio universal across kernel types", ok,
+           " ".join(f"{k}={v:+.3e}" for k, v in devs.items())
+           + f" runtime={runtime:.2f}s")
 
 
 def test_criterion_03_zero_temperature_closed_form():

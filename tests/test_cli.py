@@ -388,9 +388,9 @@ def test_cli_requests_load_no_lazy_modules(tmp_path):
     # every subcommand in one fresh interpreter: no record generates code at
     # import (dataclasses), and no request reaches numpy.ma (np.unique) or
     # numpy.polynomial (polyfit), which NumPy imports only on first use.  No
-    # request calls LAPACK's general eigensolver, its SVD or its QR, or
-    # NumPy's sort kernels either; the tabulated config gives them r-by-r
-    # matrices with r > 1 to work on
+    # request calls LAPACK (its general eigensolver, SVD, QR, LU solve or
+    # inverse) or NumPy's sort kernels either; the tabulated config gives
+    # them r-by-r matrices with r > 1 to work on
     cfgs = [write(tmp_path / "c.cfg", FAST_CFG),
             write(tmp_path / "t.cfg", TABULATED_CFG)]
     script = (
@@ -398,9 +398,10 @@ def test_cli_requests_load_no_lazy_modules(tmp_path):
         "import numpy as np\n"
         "import bcsgap.cli as cli\n"
         "def refuse(*args, **kwargs):\n"
-        "    raise AssertionError('LAPACK eigensolver, SVD or QR, or np.sort called')\n"
+        "    raise AssertionError('LAPACK eigensolver, SVD, QR, solve or inv, "
+        "or np.sort called')\n"
         "np.linalg.eig = np.linalg.eigvals = np.linalg.lstsq = refuse\n"
-        "np.linalg.qr = np.sort = refuse\n"
+        "np.linalg.qr = np.linalg.solve = np.linalg.inv = np.sort = refuse\n"
         f"for cfg in {cfgs!r}:\n"
         f"    base = ['--quiet', '--config', cfg, '--out', {str(tmp_path)!r}]\n"
         "    for argv in (['tc'], ['gap', '--t', '0.02'],\n"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -691,6 +693,72 @@ def test_newton_seed_is_a_supersolution(kernel, frac):
     c0 = disc.Gw.T @ gap_solver._gap_terms(disc, np.full(disc.qn.size, d20), t)[0]
     assert np.all(disc.F @ c0 < d20)
     assert np.all(image(disc, c0, t) <= disc.F @ c0)
+
+
+def _fixed_core(c):
+    """A stand-in for Discretization whose core is c at every weight."""
+    return SimpleNamespace(core=lambda weight_q: c)
+
+
+def _assert_close_to_lapack(a, b, x):
+    # Gauss-Jordan's backward error is O(r eps), so the forward error
+    # against LAPACK's LU is bounded by a multiple of r eps cond(a)
+    ref = np.linalg.solve(a, b)
+    bound = 4.0 * b.size * np.finfo(float).eps * np.linalg.cond(a)
+    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99, 1.0 - 1e-6])
+@pytest.mark.parametrize("r", range(1, 13))
+def test_solve_linearized_matches_lapack(r, rho):
+    # seeded positive cores scaled to Perron root rho, up to 1e-6 from the
+    # singular I - c
+    rng = np.random.default_rng(r)
+    for _ in range(5):
+        c = rng.uniform(0.01, 1.0, (r, r))
+        c *= rho / np.max(np.abs(np.linalg.eigvals(c)))
+        b = rng.normal(size=r)
+        x = Discretization.solve_linearized(_fixed_core(c), None, b)
+        _assert_close_to_lapack(np.eye(r) - c, b, x)
+
+
+def test_solve_linearized_at_rank_one_is_one_division():
+    rng = np.random.default_rng(7)
+    for c, b in zip(rng.uniform(0.0, 1.0, 200), rng.normal(size=200)):
+        x = Discretization.solve_linearized(_fixed_core(np.array([[c]])),
+                                            None, np.array([b]))
+        assert x[0] == b / (1.0 - c)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 12])
+def test_solve_linearized_refuses_a_core_past_perron_root_one(r):
+    # I - c is then no M-matrix and some pivot is not positive
+    c = np.random.default_rng(r).uniform(0.01, 1.0, (r, r))
+    c *= 1.01 / np.max(np.abs(np.linalg.eigvals(c)))
+    with pytest.raises(NumericalError, match="pivot"):
+        Discretization.solve_linearized(_fixed_core(c), None, np.ones(r))
+
+
+@ALL_KERNELS
+def test_solve_linearized_on_the_solver_cores_matches_lapack(kernel, monkeypatch):
+    # every Newton step and du/dT solve the solver makes, down to 2^-10
+    # below T_c where I - core(dphi/du) is nearest singular
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    seen = []
+    solve = Discretization.solve_linearized
+
+    def recorded(self, weight_q, b):
+        x = solve(self, weight_q, b)
+        seen.append((np.eye(b.size) - self.core(weight_q), b, x))
+        return x
+
+    monkeypatch.setattr(Discretization, "solve_linearized", recorded)
+    for frac in (0.0, 0.5, 1.0 - 2.0 ** -10):
+        du_dT_at_fixed_point(solve_at_T(frac * tc, disc, OPTS), disc)
+    assert len(seen) >= 6
+    for a, b, x in seen:
+        _assert_close_to_lapack(a, b, x)
 
 
 def test_picard_from_a_low_seed_is_undamped():
