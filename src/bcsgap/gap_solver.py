@@ -1,4 +1,4 @@
-"""Discretized gap operator, Newton/Picard fixed-point solver, sweeps and T_c.
+"""Discretized gap operator, Newton fixed-point solver, sweeps and T_c.
 
 The kernel enters as its exact rank-r factorization U = F G^T (r is 1 for
 constant and separable kernels, the table size for tabulated ones), so every
@@ -11,18 +11,15 @@ interpolant of the grid values F c, which is homogeneous of degree one.
 Every linearization of the map is the r-by-r matrix core(w) = (Gw w)^T Ft,
 and Newton and du/dT solve I - core(dphi/du) x = b by solve_linearized.
 
-The production iteration is Newton's method from the image of the constant
+The iteration is Newton's method from the image of the constant
 Delta_2(0), a supersolution (Au <= u) at every T: every kernel value lies
 below u_2, and gap_rhs(u_2, T, D) falls with D, through 1 at
 Delta_2(T) <= Delta_2(0).  The map is concave in u, so Newton iterates from
 a supersolution stay above the fixed point and the step count does not grow
 as T approaches T_c, where plain Picard contracts at roughly
-1 - |T - T_c|/T_c.  Plain Picard remains the reference iteration: it runs
-from subsolution seeds and whenever residual histories are recorded.  With
-measured residual ratio q its distance to the fixed point is about
-residual * q / (1 - q); it stops only when that estimate is inside half the
-tolerance, so a slow contraction cannot terminate on a deceptively small
-residual, and the reference lands well inside tol of the fixed point.
+1 - |T - T_c|/T_c.  Plain Picard, the paper's own iteration, is the
+reference for the contraction and uniqueness checks; it lives with the
+tests (the picard fixture in tests/conftest.py).
 
 T_c is where the Perron root of core(tanh(xi/2T)/xi), the map linearized at
 u = 0, falls through 1 as T rises: the exact zero/nonzero boundary of the
@@ -88,7 +85,6 @@ class GapSlice(NamedTuple):
     iterations: int
     final_residual: float
     coef: np.ndarray
-    residual_history: list | None = None
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -124,8 +120,6 @@ class SolverOpts(NamedTuple):
     tol: float | None = None
     max_iter: int = 400_000
     t_tol: float | None = None
-    seed: float | None = None
-    record_residuals: bool = False
 
     def resolved_tol(self, delta2_zero: float) -> float:
         return self.tol if self.tol is not None else 1e-10 * delta2_zero
@@ -266,30 +260,27 @@ def du_dT_at_fixed_point(u: GapSlice, disc: Discretization) -> np.ndarray:
 
 def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
                start: np.ndarray | None = None) -> GapSlice:
-    """Fixed point of the gap operator at one temperature.
+    """Fixed point of the gap operator at one temperature, by Newton's method.
 
-    Iterates on the kernel coefficients c from the image of the constant
-    level opts.seed (default Delta_2(0)), or from start when neither a seed
-    nor residual recording is set; residuals and steps are measured on the
-    grid values F c.  At and above tau_2, and wherever the operator
-    linearized at zero is subcritical (T >= T_c), the zero slice is returned
-    outright.  Each iteration takes a Newton step while the iterate
-    is a supersolution (u - Au >= -tol everywhere) and stops once the
+    Iterates on the kernel coefficients c from start, a supersolution such as
+    a nonzero slice below t, or else from the image of the constant
+    Delta_2(0); residuals and steps are measured on the grid values F c.  At
+    and above tau_2, and wherever the operator linearized at zero is
+    subcritical (T >= T_c), the zero slice is returned outright.  Newton
+    iterates from a supersolution stay supersolutions (see module
+    docstring), so every step is a Newton step; the iteration stops once the
     residual and the step are inside the tolerance, or the residual is
-    inside it and stops falling.  From a subsolution seed, and always when
-    opts.record_residuals is set, it takes plain Picard steps with the
-    contraction-scaled stopping rule instead.  An exhausted iteration budget
-    raises NumericalError carrying the last iterate.
+    inside it and stops falling.  An exhausted iteration budget raises
+    NumericalError carrying the last iterate.
     """
     if t < 0 or 0 < t < sys.float_info.min:
         raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     opts = opts or SolverOpts()
     params = disc.kernel.params
     x = disc.grid.nodes
-    history = [] if opts.record_residuals else None
 
     def result(c, it, res):
-        return GapSlice(t, x, disc.F @ c, it, res, c, history)
+        return GapSlice(t, x, disc.F @ c, it, res, c)
 
     zero = np.zeros(disc.F.shape[1])
     tau2 = solve_tau(params.u2, params)
@@ -304,45 +295,23 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
 
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
-
-    seed = d20 if opts.seed is None else float(opts.seed)
-    c = (start if start is not None and opts.seed is None and history is None
-         else disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, seed), t)[0])
+    c = (start if start is not None
+         else disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, d20), t)[0])
 
     res_prev = np.inf
-    ratios = []
-    at_floor = False
     for it in range(1, opts.max_iter + 1):
         phi, dphi_du, _ = _gap_terms(disc, disc.Ft @ c, t)
         g = disc.Gw.T @ phi
-        f = disc.F @ (c - g)
-        res = float(np.abs(f).max())
-        if history is not None:
-            history.append(res)
+        res = float(np.abs(disc.F @ (c - g)).max())
         # a residual inside tol that stops falling is at the roundoff floor,
-        # where ratios measure noise, not the contraction: keep q from before,
-        # and take no Newton step, which would only amplify that noise
-        at_floor = at_floor or res_prev <= res <= tol
-        if res_prev > 0 and np.isfinite(res_prev) and not at_floor:
-            ratios.append(res / res_prev)
-            if len(ratios) > 5:
-                ratios.pop(0)
+        # where a Newton step would only amplify the noise
+        if res_prev <= res <= tol:
+            return result(c, it, res)
+        step = disc.solve_linearized(dphi_du, c - g)
+        c = c - step
+        if res <= tol and float(np.abs(disc.F @ step).max()) <= tol:
+            return result(c, it, res)
         res_prev = res
-
-        if history is None and float(f.min()) >= -tol:
-            if at_floor and res <= tol:
-                return result(c, it, res)
-            step = disc.solve_linearized(dphi_du, c - g)
-            c_next = c - step
-            done = res <= tol and float(np.abs(disc.F @ step).max()) <= tol
-        else:
-            c_next = g
-            q = max(ratios) if ratios else 0.0
-            done = res <= tol and q < 1.0 and res * q / (1.0 - q) <= 0.5 * tol
-
-        if done:
-            return result(c_next, it, res)
-        c = c_next
 
     raise NumericalError(
         f"gap iteration budget exhausted at T={t:g} (residual {res_prev:g})",

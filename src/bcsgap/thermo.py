@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gap_solver import (Discretization, GapSlice, du_dT_at_fixed_point,
-                         perron, weight_at_zero)
+from .gap_solver import (Discretization, GapSlice, _gap_terms,
+                         du_dT_at_fixed_point, perron, weight_at_zero)
 from .model import DosModel, PhysicalParams, eval_dos
 from .quadrature import composite_gauss
 from .special import fermi, sech2
@@ -86,24 +86,14 @@ def psi_derivative(t: float, u: GapSlice, dc: np.ndarray,
         raise ValueError("psi_derivative needs T > 0; the T = 0 value is 0")
     qn, qw = disc.qn, disc.qw
     uu = disc.Ft @ u.coef
-    dd = disc.Ft @ dc
-    e2 = qn * qn + uu * uu
-    e = np.sqrt(e2)
-    th = np.tanh(e / (2.0 * t))
-    s2 = sech2(e / (2.0 * t))
-    u2 = uu * uu
-    delta = u2 / (e + qn)
-
-    term1 = -2.0 * uu / e * dd * 2.0 * fermi(e / t)  # 1 - tanh = 2*fermi
-    term2 = -(uu * u2) / (e2 * e) * dd * th
-
-    k1 = u2 / e2 * (s2 / (2.0 * t)) * (uu * dd - e2 / t)
+    phi, dphi_du, dphi_dT = _gap_terms(disc, uu, t)
+    e = np.sqrt(qn * qn + uu * uu)
     b = np.exp(-qn / t)
-    k2 = -4.0 * np.log1p(b * np.expm1(-delta / t) / (1.0 + b))
-    k3 = 4.0 * qn / t * fermi(qn / t)
-    k4 = 4.0 * fermi(e / t) * (uu * dd / e - e / t)
-
-    return disc.kernel.params.n0 * float(qw @ (term1 + term2 + k1 + k2 + k3 + k4))
+    dlog = np.log1p(b * np.expm1(-uu * uu / (e + qn) / t) / (1.0 + b))
+    # d/dT of the psi integrand along u(T); its two f(E/T) du/dT terms cancel
+    integrand = ((disc.Ft @ dc) * (uu * dphi_du - phi) + uu * dphi_dT
+                 - 4.0 * (dlog + (e * fermi(e / t) - qn * fermi(qn / t)) / t))
+    return disc.kernel.params.n0 * float(qw @ integrand)
 
 
 # Fermi-window rules: 7-point Gauss panels at most T wide (every pole of the

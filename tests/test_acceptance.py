@@ -208,7 +208,7 @@ def test_criterion_07a_contraction_bound_feasible():
            f"runtime={time.time() - t0:.2f}s")
 
 
-def test_criterion_07b_iteration_ratios_below_bound(default_params):
+def test_criterion_07b_iteration_ratios_below_bound(default_params, picard):
     t0 = time.time()
     p = default_params
     k = ConstantPotential(0.3, p)
@@ -217,8 +217,7 @@ def test_criterion_07b_iteration_ratios_below_bound(default_params):
     tc = find_Tc(k, p, SolverOpts(), grid=grid)
     worst = 0.0
     for frac in (0.9, 0.95, 0.98):
-        sl = solve_at_T(frac * tc, disc, SolverOpts(record_residuals=True))
-        r = np.array(sl.residual_history)
+        r = np.array(picard(frac * tc, disc)[1])
         ratios = r[1:][r[:-1] > 0] / r[:-1][r[:-1] > 0]
         worst = max(worst, float(np.max(ratios)))
     ok = worst < 1.0
@@ -226,7 +225,7 @@ def test_criterion_07b_iteration_ratios_below_bound(default_params):
            f"max residual ratio={worst:.4f} runtime={time.time() - t0:.2f}s")
 
 
-def test_criterion_07c_two_seeds_one_fixed_point(default_params):
+def test_criterion_07c_two_seeds_one_fixed_point(default_params, picard):
     t0 = time.time()
     p = default_params
     k = ConstantPotential(0.3, p)
@@ -240,8 +239,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params):
     for frac in (0.9, 0.95):
         t = frac * tc
         upper = solve_at_T(t, disc, SolverOpts())
-        low = SolverOpts(seed=1e-3 * d20)
-        lower = solve_at_T(t, disc, low)
+        lower = picard(t, disc, seed=1e-3 * d20)[0]
         worst = max(worst, float(np.max(np.abs(upper.values - lower.values))))
     ok = worst <= 2.0 * tol
     report("07c two seeds converge together", ok,

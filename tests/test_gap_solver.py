@@ -151,13 +151,13 @@ def test_grid_refinement_converges():
     assert d_fine < d_coarse / 3.5
 
 
-def test_two_seeds_same_fixed_point():
+def test_two_seeds_same_fixed_point(picard):
     tc = find_Tc(K, P, OPTS, grid=GRID)
     t = 0.9 * tc
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
     upper = solve_at_T(t, DISC, OPTS)
-    lower = solve_at_T(t, DISC, SolverOpts(seed=1e-3 * d20))
+    lower = picard(t, DISC, seed=1e-3 * d20)[0]
     assert np.max(np.abs(upper.values - lower.values)) <= 2.0 * tol
 
 
@@ -256,18 +256,18 @@ def test_perron_matches_lapack(r, kappa):
 @pytest.mark.parametrize("kernel", [separable_kernel(P), tabulated_kernel(P)],
                          ids=["separable", "tabulated"])
 @pytest.mark.parametrize("frac", [0.5, 0.95])
-def test_newton_matches_picard_reference(kernel, frac):
+def test_newton_matches_picard_reference(kernel, frac, picard):
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, P, SolverOpts(), grid=GRID)
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
     newton = solve_at_T(frac * tc, disc, OPTS)
-    picard = solve_at_T(frac * tc, disc, SolverOpts(record_residuals=True))
-    assert newton.iterations <= 20 < picard.iterations
-    assert np.max(np.abs(newton.values - picard.values)) <= 2.0 * tol
+    plain = picard(frac * tc, disc)[0]
+    assert newton.iterations <= 20 < plain.iterations
+    assert np.max(np.abs(newton.values - plain.values)) <= 2.0 * tol
 
 
-def test_picard_stops_at_the_roundoff_floor():
+def test_picard_stops_at_the_roundoff_floor(picard):
     # the residual reaches its roundoff floor (about 3e-18) long before the
     # budget; ratios measured there are noise and must not block the stop
     grid = build_grid(P, 33)
@@ -276,9 +276,8 @@ def test_picard_stops_at_the_roundoff_floor():
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     t = tc * (1.0 - 2.0 ** -4)
     newton = solve_at_T(t, disc, SolverOpts(tol=tol))
-    picard = solve_at_T(t, disc, SolverOpts(record_residuals=True, tol=tol,
-                                            max_iter=60_000))
-    assert np.max(np.abs(picard.values - newton.values)) <= tol
+    plain = picard(t, disc, SolverOpts(tol=tol, max_iter=60_000))[0]
+    assert np.max(np.abs(plain.values - newton.values)) <= tol
 
 
 @pytest.mark.parametrize("n", [65, 129, 257])
@@ -552,17 +551,6 @@ def test_sweep_warm_start_matches_cold_solves_in_fewer_steps(kernel, grid_kind):
             <= 0.8 * sum(c.iterations for c in cold))
 
 
-def test_warm_start_gives_way_to_a_seed_or_recorded_residuals():
-    t = 0.5 * solve_tau(0.3, P)
-    start = solve_at_T(0.4 * solve_tau(0.3, P), DISC, OPTS).coef
-    for opts in (SolverOpts(seed=1e-3 * delta_at_zero(P.u2, P)),
-                 SolverOpts(record_residuals=True)):
-        cold = solve_at_T(t, DISC, opts)
-        warm = solve_at_T(t, DISC, opts, start)
-        assert warm.iterations == cold.iterations
-        assert np.array_equal(warm.values, cold.values)
-
-
 @ALL_KERNELS
 @pytest.mark.parametrize("n", [65, 129, 257])
 def test_find_tc_lands_on_the_threshold_in_few_perron_roots(kernel, n, monkeypatch):
@@ -695,6 +683,50 @@ def test_newton_seed_is_a_supersolution(kernel, frac):
     assert np.all(image(disc, c0, t) <= disc.F @ c0)
 
 
+@ALL_KERNELS
+def test_newton_steps_only_from_supersolutions(kernel, monkeypatch):
+    # solve_at_T has one step rule: every linearized solve it makes is a
+    # Newton step from a supersolution, F b = u - Au >= -tol for b = c - g,
+    # on cold solves up to 2^-20 below T_c and on a warm-started sweep; each
+    # slice counts its Newton steps, plus one when it stops at the roundoff
+    # floor, where the residual inside tol has stopped falling (reached, if
+    # at all, only at the tight tolerance)
+    disc = Discretization(kernel, GRID)
+    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    d20 = delta_at_zero(P.u2, P)
+    solve_linearized, solve = Discretization.solve_linearized, gap_solver.solve_at_T
+    residuals = []
+
+    def checked(self, weight_q, b):
+        assert (self.F @ b).min() >= -tol
+        residuals[-1].append(float(np.abs(self.F @ b).max()))
+        return solve_linearized(self, weight_q, b)
+
+    def counted(t, *args):
+        residuals.append([])
+        sl = solve(t, *args)
+        steps = residuals[-1]
+        if sl.iterations == len(steps) + 1:
+            # the unstepped last iterate, whose residual did not fall
+            g = disc.Gw.T @ gap_solver._gap_terms(disc, disc.Ft @ sl.coef, t)[0]
+            assert sl.final_residual == np.abs(disc.F @ (sl.coef - g)).max()
+            assert steps[-1] <= sl.final_residual <= tol
+        else:
+            assert sl.iterations == len(steps)
+            assert sl.final_residual == (steps[-1] if steps else 0.0)
+        return sl
+
+    monkeypatch.setattr(Discretization, "solve_linearized", checked)
+    monkeypatch.setattr(gap_solver, "solve_at_T", counted)
+    for opts in (SolverOpts(tol=1e-15 * d20), OPTS):
+        tol = opts.resolved_tol(d20)
+        for frac in (0.0, 0.5, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20):
+            assert counted(frac * tc, disc, opts).sup() > 0.0
+    ts = hc_temperatures(np.linspace(0.0, tc, 33), tc)
+    assert len(sweep(ts, disc, OPTS, tc=tc).slices) == len(ts)
+    assert len(residuals) == 8 + len(ts)
+
+
 def _fixed_core(c):
     """A stand-in for Discretization whose core is c at every weight."""
     return SimpleNamespace(core=lambda weight_q: c)
@@ -761,14 +793,13 @@ def test_solve_linearized_on_the_solver_cores_matches_lapack(kernel, monkeypatch
         _assert_close_to_lapack(a, b, x)
 
 
-def test_picard_from_a_low_seed_is_undamped():
+def test_picard_from_a_low_seed_is_undamped(picard):
     # the residual grows while an iterate rises from a subsolution; halving
     # the steps there would double the iteration count
     tc = find_Tc(K, P, OPTS, grid=GRID)
     d20 = solve_simple_gap(0.0, P.u2, P)
     newton = solve_at_T(0.9 * tc, DISC, OPTS)
-    low = solve_at_T(0.9 * tc, DISC,
-                     SolverOpts(seed=1e-3 * d20))
+    low = picard(0.9 * tc, DISC, seed=1e-3 * d20)[0]
     assert low.iterations <= 600
     assert np.max(np.abs(low.values - newton.values)) <= 2.0 * OPTS.resolved_tol(d20)
 
@@ -802,13 +833,12 @@ def test_diagnostics_a_is_the_sup_over_the_low_temperature_band():
     assert rep.a == pytest.approx(max(ladder), rel=1e-15, abs=0)
 
 
-def test_empirical_iteration_ratios_below_alpha_bound():
+def test_empirical_iteration_ratios_below_alpha_bound(picard):
     # alpha is above 1 (see test_coded_alpha_exceeds_perron_root), about 5849
     # here, so the ratios are held to the stricter bound 1: the iteration
     # contracts
     tc = solve_tau(0.3, P)
-    sl = solve_at_T(0.95 * tc, DISC, SolverOpts(record_residuals=True))
-    r = np.array(sl.residual_history)
+    r = np.array(picard(0.95 * tc, DISC)[1])
     ratios = r[1:] / r[:-1]
     assert np.max(ratios[ratios > 0]) < 1.0
 
