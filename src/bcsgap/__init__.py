@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import ConfigError, NumericalError
 from .model import (ConstantPotential, DosModel, FlatShellDos, PhysicalParams,
                     PotentialSpec, SeparablePotential, SqrtBandDos,
-                    TabulatedPotential, eval_dos, eval_kernel, validate_params)
+                    TabulatedPotential, eval_dos, validate_params)
 from .quadrature import QuadResult, integrate, integrate_tail
 from .simple_gap import (SimpleGapCurve, build_simple_gap_curve, delta_at_zero,
                          gap_rhs, solve_simple_gap, solve_tau, solve_tau0,
@@ -25,7 +25,7 @@ __all__ = [
     "__version__",
     "ConfigError", "NumericalError",
     "PhysicalParams", "validate_params", "PotentialSpec", "ConstantPotential",
-    "SeparablePotential", "TabulatedPotential", "eval_kernel",
+    "SeparablePotential", "TabulatedPotential",
     "DosModel", "FlatShellDos", "SqrtBandDos", "eval_dos",
     "QuadResult", "integrate", "integrate_tail",
     "SimpleGapCurve", "build_simple_gap_curve", "delta_at_zero", "gap_rhs",

@@ -117,9 +117,8 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tau2 = solve_tau(cfg.params.u2, cfg.params)
-    ts = _t_grid(args, cfg, tau2)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     surface = sweep(ts, disc, opts, tc=tc)
     n = disc.grid.count
     t_col = np.repeat(ts, n)
@@ -136,8 +135,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_tc(args, cfg: RunConfig) -> int:
-    grid = build_grid(cfg.params, cfg.energy_points)
-    tc = find_Tc(cfg.potential, cfg.params, _opts(cfg), grid)
+    tc = find_Tc(cfg.potential, build_grid(cfg.params, cfg.energy_points), _opts(cfg))
     _write_kv(_out_path(args, "tc.meta"), _meta(cfg, {"Tc": tc}))
     _say(args, _fmt(tc))
     return 0
@@ -145,7 +143,7 @@ def cmd_tc(args, cfg: RunConfig) -> int:
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     rep = contraction_diagnostics(disc, args.tau, tc)
     path = _out_path(args, "diagnose.txt")
     _write_kv(path, _meta(cfg, {
@@ -162,9 +160,8 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tau2 = solve_tau(cfg.params.u2, cfg.params)
-    ts = _t_grid(args, cfg, tau2)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     surface = sweep(ts, disc, opts, tc=tc)
     curve = build_thermo_curve(surface, disc, cfg.dos)
     path = _out_path(args, "thermo.csv")
@@ -178,9 +175,9 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 
 def cmd_ratio(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     dcv = extract_v(disc, tc).jump
-    cvn = cv_normal(tc, cfg.params, cfg.dos)
+    cvn = cv_normal(tc, cfg.dos)
     ratio = dcv / cvn
     uni = universal_constant()
     path = _out_path(args, "ratio.txt")
@@ -194,7 +191,7 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 
 def cmd_vfun(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     v = extract_v(disc, tc)
     path = _out_path(args, "vfun.csv")
     _write_csv(path, ["x", "v", "fit_residual"], [v.x, v.values, v.fit_residual])
@@ -205,7 +202,7 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 
 def cmd_hc(args, cfg: RunConfig) -> int:
     disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, cfg.params, opts, disc.grid)
+    tc = find_Tc(cfg.potential, disc.grid, opts)
     v = extract_v(disc, tc)
     ts = hc_temperatures(_t_grid(args, cfg, tc), tc)
     surface = sweep(ts, disc, opts, tc=tc)

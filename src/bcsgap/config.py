@@ -6,12 +6,15 @@ metadata can echo the fully resolved configuration.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
 from .model import (ConstantPotential, DosModel, FlatShellDos, PhysicalParams,
                     PotentialSpec, SeparablePotential, SqrtBandDos,
                     TabulatedPotential, validate_params)
+from .simple_gap import delta_at_zero
 
 _SCALAR_KEYS = {
     "epsilon", "hbar_omega_d", "mu", "n0", "u1", "u2",
@@ -34,8 +37,7 @@ class RunConfig:
     def __init__(self, params: PhysicalParams, potential: PotentialSpec,
                  dos: DosModel, energy_points: int, t_points: int,
                  solver_tol: float | None, t_tol: float | None,
-                 resolved: dict | None = None,
-                 defaults_applied: dict | None = None):
+                 resolved: dict, defaults_applied: dict):
         self.params = params
         self.potential = potential
         self.dos = dos
@@ -43,8 +45,8 @@ class RunConfig:
         self.t_points = t_points
         self.solver_tol = solver_tol
         self.t_tol = t_tol
-        self.resolved = {} if resolved is None else resolved
-        self.defaults_applied = {} if defaults_applied is None else defaults_applied
+        self.resolved = resolved
+        self.defaults_applied = defaults_applied
 
 
 def _parse_items(text: str, origin: str) -> dict:
@@ -160,9 +162,9 @@ def load_config(path: str | None) -> RunConfig:
 
     dtype = _get(items, defaults, "dos.type", "sqrt_band", str)
     if dtype == "flat_shell":
-        dos: DosModel = FlatShellDos(n0, params)
+        dos: DosModel = FlatShellDos(params)
     elif dtype == "sqrt_band":
-        dos = SqrtBandDos(n0, params)
+        dos = SqrtBandDos(params)
     else:
         raise ConfigError(f"unknown dos.type '{dtype}'")
 
@@ -178,6 +180,15 @@ def load_config(path: str | None) -> RunConfig:
     # absent and 'auto' both resolve to the solver default, echoed as 'auto'
     solver_tol = _get(items, {}, "tolerances.solver_tol", None, _auto_tolerance)
     t_tol = _get(items, {}, "tolerances.t_tol", None, _auto_tolerance)
+    # no residual of gap values of size Delta_2(0) gets below one ulp of it
+    if solver_tol is not None:
+        try:
+            floor = math.ulp(delta_at_zero(u2, params))
+        except (ConfigError, OverflowError):  # no transition: the solves say so
+            floor = 0.0
+        if solver_tol < floor:
+            raise ConfigError(f"tolerances.solver_tol {solver_tol!r} is below "
+                              f"one ulp of Delta_2(0), {floor!r}")
 
     resolved = {
         "hbar_omega_d": om, "epsilon": eps, "mu": mu, "n0": n0,

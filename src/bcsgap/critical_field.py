@@ -99,19 +99,20 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 
-def linear_law_check(curve: HcCurve, t_window: float = 0.13) -> LinearLawReport:
+def linear_law_check(curve: HcCurve) -> LinearLawReport:
     """Fit the near-transition linear law and compare against the closed form.
 
-    Points with 0 < d = 1 - T/T_c <= t_window enter a least-squares quadratic
-    fit of hc/d, whose value at d = 0 is the fitted linear coefficient.  It
-    expands in p_0 = 1, p_1 = d - a_0 and p_2 = (d - a_1) p_1 - b_1, orthogonal
-    on the points (Forsythe, J. SIAM 5 (1957) 74): dot products only, with no
-    LAPACK and no numpy.polynomial.  For a constant kernel the ratio of that
-    coefficient to hc(0) lands near the textbook 1.74.
+    Points with 0 < d = 1 - T/T_c <= 0.13, the hc_temperatures ladder and any
+    base points as near, enter a least-squares quadratic fit of hc/d, whose
+    value at d = 0 is the fitted linear coefficient.  It expands in p_0 = 1,
+    p_1 = d - a_0 and p_2 = (d - a_1) p_1 - b_1, orthogonal on the points
+    (Forsythe, J. SIAM 5 (1957) 74): dot products only, with no LAPACK and no
+    numpy.polynomial.  For a constant kernel the ratio of that coefficient to
+    hc(0) lands near the textbook 1.74.
     """
     tc = curve.tc
     rel = 1.0 - curve.t / tc
-    m = (rel > 1e-12) & (rel <= t_window)
+    m = (rel > 1e-12) & (rel <= 0.13)
     d = rel[m]
     if d.size < 4:
         raise NumericalError("need at least 4 points near T_c for the linear-law fit")

@@ -39,7 +39,7 @@ from .interpolate import MonotoneCubic
 from .model import PhysicalParams, PotentialSpec
 from .quadrature import composite_gauss
 from .rootfind import solve_bracketed
-from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0
+from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0, tau3
 from .special import sech2
 
 
@@ -62,7 +62,7 @@ class EnergyGrid:
         return self.nodes.size
 
 
-def build_grid(params: PhysicalParams, count: int = 129) -> EnergyGrid:
+def build_grid(params: PhysicalParams, count: int) -> EnergyGrid:
     """Geometric spacing near the cutoff, uniform across the rest of the shell."""
     eps, om = params.epsilon, params.hbar_omega_d
     split = 0.125 * om
@@ -116,9 +116,13 @@ class ContractionReport(NamedTuple):
     alpha_argmax: tuple  # (T, x)
 
 
+# Newton steps per solve.  No solve in the tests or the benchmark takes over
+# 45, the count at the first doubles below T_c, where I - core is near singular.
+NEWTON_BUDGET = 100
+
+
 class SolverOpts(NamedTuple):
     tol: float | None = None
-    max_iter: int = 400_000
     t_tol: float | None = None
 
     def resolved_tol(self, delta2_zero: float) -> float:
@@ -270,7 +274,7 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
     iterates from a supersolution stay supersolutions (see module
     docstring), so every step is a Newton step; the iteration stops once the
     residual and the step are inside the tolerance, or the residual is
-    inside it and stops falling.  An exhausted iteration budget raises
+    inside it and stops falling.  Exhausting NEWTON_BUDGET raises
     NumericalError carrying the last iterate.
     """
     if t < 0 or 0 < t < sys.float_info.min:
@@ -299,7 +303,7 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
          else disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, d20), t)[0])
 
     res_prev = np.inf
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, NEWTON_BUDGET + 1):
         phi, dphi_du, _ = _gap_terms(disc, disc.Ft @ c, t)
         g = disc.Gw.T @ phi
         res = float(np.abs(disc.F @ (c - g)).max())
@@ -337,9 +341,8 @@ def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
     return GapSurface(ts, slices, tc)
 
 
-def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
-            opts: SolverOpts | None = None,
-            grid: EnergyGrid | None = None) -> float:
+def find_Tc(kernel: PotentialSpec, grid: EnergyGrid,
+            opts: SolverOpts | None = None) -> float:
     """Transition temperature: boundary of the zero-solution region.
 
     The root of rho(T) - 1 on [tau_1, tau_2], rho the Perron root behind
@@ -348,9 +351,7 @@ def find_Tc(kernel: PotentialSpec, params: PhysicalParams,
     T_c takes the shortcut: solves from T_c up return the zero slice, and
     solves below it a nonzero fixed point.
     """
-    opts = opts or SolverOpts()
-    if grid is None:
-        grid = build_grid(params)
+    opts, params = opts or SolverOpts(), kernel.params
     disc = Discretization(kernel, grid)
     tau2 = solve_tau(params.u2, params)
     return solve_bracketed(
@@ -383,7 +384,7 @@ def contraction_diagnostics(disc: Discretization, tau: float,
         raise ConfigError("tau must lie strictly between 0 and T_c")
 
     t0 = solve_tau0(params)
-    t3 = 0.5 * t0
+    t3 = tau3(params)
     qn, qw = disc.qn, disc.qw
 
     # Delta_1 falls with T and tanh(E/2 tau_0)/E with E, so the sup of the

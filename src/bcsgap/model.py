@@ -59,31 +59,24 @@ class PotentialSpec:
     Every kernel is an exact finite-rank product: ``factors(x, xi)`` returns
     F (len(x) by r) and G (len(xi) by r) with U(x_i, xi_j) = (F G^T)_ij, of
     rank 1 for constant and separable kernels and of the table size for
-    tabulated ones.  Point values are derived from the same factors.
-    Construction checks that the kernel range lies strictly inside (u1, u2).
+    tabulated ones; it is the kernel's one source of values.  Construction
+    checks that the kernel range lies strictly inside (u1, u2).
     """
 
     def __init__(self, params: PhysicalParams):
         self.params = params
-        self.domain = (params.epsilon, params.hbar_omega_d)
-        self.u1 = params.u1
-        self.u2 = params.u2
 
     def _check_range(self, lo: float, hi: float) -> None:
-        if not (self.u1 < lo and hi < self.u2):
+        u1, u2 = self.params.u1, self.params.u2
+        if not (u1 < lo and hi < u2):
             raise ConfigError(
                 "kernel values must lie strictly between u1 and u2 "
-                f"(range [{lo:g}, {hi:g}] vs ({self.u1:g}, {self.u2:g}))"
+                f"(range [{lo:g}, {hi:g}] vs ({u1:g}, {u2:g}))"
             )
 
     def factors(self, x: np.ndarray, xi: np.ndarray):
         """(F, G) with U(x_i, xi_j) = (F G^T)_ij for 1-d arrays x and xi."""
         raise NotImplementedError
-
-    def _eval(self, x, xi):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        f, g = self.factors(x.ravel(), xi.ravel())
-        return np.sum(f * g, axis=1).reshape(x.shape)
 
     @property
     def is_constant(self) -> bool:
@@ -160,23 +153,10 @@ class TabulatedPotential(PotentialSpec):
         return hat_basis(self.nodes, x) @ self.values, hat_basis(self.nodes, xi)
 
 
-def eval_kernel(spec: PotentialSpec, x, xi):
-    """Evaluate U(x, xi); arguments must lie in [epsilon, hbar_omega_d]."""
-    lo, hi = spec.domain
-    x = np.asarray(x, float)
-    xi = np.asarray(xi, float)
-    tol = 1e-12 * hi
-    if np.any(x < lo - tol) or np.any(x > hi + tol) or np.any(xi < lo - tol) or np.any(xi > hi + tol):
-        raise ConfigError("kernel argument outside [epsilon, hbar_omega_d]")
-    out = spec._eval(x, xi)
-    return float(out) if out.ndim == 0 else out
-
-
 class DosModel:
-    """Density of states N(xi) on [-mu, inf), equal to n0 on the shell."""
+    """Density of states N(xi) on [-mu, inf), equal to params.n0 on the shell."""
 
-    def __init__(self, n0: float, params: PhysicalParams):
-        self.n0 = float(n0)
+    def __init__(self, params: PhysicalParams):
         self.params = params
 
     def _eval(self, xi):
@@ -185,7 +165,7 @@ class DosModel:
 
 class FlatShellDos(DosModel):
     def _eval(self, xi):
-        return np.full_like(xi, self.n0)
+        return np.full_like(xi, self.params.n0)
 
 
 class SqrtBandDos(DosModel):
@@ -198,11 +178,11 @@ class SqrtBandDos(DosModel):
 
     def _eval(self, xi):
         p = self.params
-        out = np.full_like(xi, self.n0)
+        out = np.full_like(xi, p.n0)
         below = xi < p.epsilon
         above = xi > p.hbar_omega_d
-        out[below] = self.n0 * np.sqrt((xi[below] + p.mu) / (p.epsilon + p.mu))
-        out[above] = self.n0 * np.sqrt((xi[above] + p.mu) / (p.hbar_omega_d + p.mu))
+        out[below] = p.n0 * np.sqrt((xi[below] + p.mu) / (p.epsilon + p.mu))
+        out[above] = p.n0 * np.sqrt((xi[above] + p.mu) / (p.hbar_omega_d + p.mu))
         return out
 
 

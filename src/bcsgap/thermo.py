@@ -132,57 +132,57 @@ def _below_shell(reach: float, width: float, params: PhysicalParams):
     return x, 2.0 * (top - d) * wd
 
 
-def _windows(t: float, params: PhysicalParams, dos: DosModel):
+def _windows(t: float, dos: DosModel):
     """Fermi-window rules at T = t > 0: the shell [eps, om], and the off-shell
     windows below -om and above om joined into one rule, with the DOS on it."""
-    eps, om = params.epsilon, params.hbar_omega_d
+    eps, om = dos.params.epsilon, dos.params.hbar_omega_d
     reach = _WINDOW * t
     xs, ws = _panels(eps, min(om - eps, reach), t)
-    xb, wb = _below_shell(reach, t, params)
+    xb, wb = _below_shell(reach, t, dos.params)
     xa, wa = _panels(om, reach, t)
     xo = np.concatenate([xb, xa])
     return xs, ws, xo, np.concatenate([wb, wa]), eval_dos(dos, xo)
 
 
-def _ground_energy(params: PhysicalParams, dos: DosModel) -> float:
+def _ground_energy(dos: DosModel) -> float:
     """Omega_N at T = 0, from its two temperature-free terms, both exact:
     -2 n0 (integral of x over the shell) in closed form, and
     2 (integral of x N(x) over [-mu, -om]) by one Gauss panel in
     sqrt(x + mu), where both DOS models are polynomials."""
-    eps, om, n0 = params.epsilon, params.hbar_omega_d, params.n0
-    xb, wb = _below_shell(math.inf, math.inf, params)
+    eps, om, n0 = dos.params.epsilon, dos.params.hbar_omega_d, dos.params.n0
+    xb, wb = _below_shell(math.inf, math.inf, dos.params)
     return -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
 
 
-def _omega_thermal(t: float, params: PhysicalParams, rules) -> float:
+def _omega_thermal(t: float, dos: DosModel, rules) -> float:
     """Omega_N(T) - Omega_N(0) at T = t > 0 on the _windows rules."""
     xs, ws, xo, wo, n_off = rules
-    shell = 2.0 * params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
+    shell = 2.0 * dos.params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
     off = float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t))))
     return -2.0 * t * (shell + off)
 
 
-def _cv_parts(t: float, params: PhysicalParams, rules):
+def _cv_parts(t: float, dos: DosModel, rules):
     """(C_V^N(T), its off-shell part) at T = t > 0 on the _windows rules."""
     xs, ws, xo, wo, n_off = rules
-    cv_shell = 2.0 * params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
+    cv_shell = 2.0 * dos.params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
     cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
     # divided by T twice, not by T^2, which underflows below T ~ 1e-154
     return 0.5 * (cv_shell + cv_off) / t / t, 0.5 * cv_off / t / t
 
 
-def omega_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
+def omega_normal(t: float, dos: DosModel) -> float:
     """Normal-state thermodynamic potential (five-integral form)."""
-    energy = _ground_energy(params, dos)
-    return energy if t == 0.0 else energy + _omega_thermal(t, params, _windows(t, params, dos))
+    energy = _ground_energy(dos)
+    return energy if t == 0.0 else energy + _omega_thermal(t, dos, _windows(t, dos))
 
 
-def cv_normal(t: float, params: PhysicalParams, dos: DosModel) -> float:
+def cv_normal(t: float, dos: DosModel) -> float:
     """Normal-state specific heat C_V^N(T) = -T d^2(Omega_N)/dT^2, from the
     closed-form second derivative (no numerical differentiation)."""
     if t < 0.0:
         raise ValueError("cv_normal needs T >= 0")
-    return 0.0 if t == 0.0 else _cv_parts(t, params, _windows(t, params, dos))[0]
+    return 0.0 if t == 0.0 else _cv_parts(t, dos, _windows(t, dos))[0]
 
 
 class VFunction(NamedTuple):
@@ -286,16 +286,15 @@ def build_thermo_curve(surface, disc: Discretization,
     analytic: cv_super is cv_normal wherever Psi vanishes identically, and
     below T_c the off-shell part of cv_normal plus _cv_shell.
     """
-    params = disc.kernel.params
     ts = surface.t_grid
 
     def normal(t):  # one rule set per temperature, freed after use
-        rules = _windows(t, params, dos)
-        return _omega_thermal(t, params, rules), *_cv_parts(t, params, rules)
+        rules = _windows(t, dos)
+        return _omega_thermal(t, dos, rules), *_cv_parts(t, dos, rules)
 
     d_omega, cvn, cv_off = np.array([normal(float(t)) if t > 0.0 else (0.0,) * 3
                                      for t in ts]).T
-    om_n = _ground_energy(params, dos) + d_omega
+    om_n = _ground_energy(dos) + d_omega
     ps, dps, dcs = _psi_curve(surface, disc)
     shell = np.array([0.0 if dc is None else _cv_shell(float(t), sl, dc, disc)
                       for t, sl, dc in zip(ts, surface.slices, dcs)])

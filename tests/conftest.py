@@ -37,24 +37,25 @@ def child_pythonpath():
 def picard():
     """The paper's plain iteration c -> Gw^T phi_T(Ft c), as a reference.
 
-    picard(t, disc, opts=None, seed=None) iterates the package's own operator
-    at 0 <= t < T_c from the image of the constant level seed (default
-    Delta_2(0)) and returns the converged GapSlice and the residual of every
-    iterate.  With measured residual ratio q (the largest of the last five)
-    the distance to the fixed point is about residual * q / (1 - q); the
-    iteration stops only when that estimate is inside half the tolerance, so
-    a slow contraction cannot stop on a deceptively small residual.  A
+    picard(t, disc, opts=None, seed=None, max_iter=400_000) iterates the
+    package's own operator at 0 <= t < T_c from the image of the constant
+    level seed (default Delta_2(0)), at most max_iter times, and returns the
+    converged GapSlice and the residual of every iterate.  With measured
+    residual ratio q (the largest of the last five) the distance to the
+    fixed point is about residual * q / (1 - q); the iteration stops only
+    when that estimate is inside half the tolerance, so a slow contraction
+    cannot stop on a deceptively small residual.  A
     residual inside tol that stops falling is at the roundoff floor, where
     ratios measure noise, not the contraction: from there no ratio is kept.
     """
-    def iterate(t, disc, opts=None, seed=None):
+    def iterate(t, disc, opts=None, seed=None, max_iter=400_000):
         opts = opts or SolverOpts()
         d20 = delta_at_zero(disc.kernel.params.u2, disc.kernel.params)
         tol = opts.resolved_tol(d20)
         level = d20 if seed is None else float(seed)
         c = disc.Gw.T @ _gap_terms(disc, np.full_like(disc.qn, level), t)[0]
         history, ratios, res_prev, at_floor = [], [], np.inf, False
-        for it in range(1, opts.max_iter + 1):
+        for it in range(1, max_iter + 1):
             g = disc.Gw.T @ _gap_terms(disc, disc.Ft @ c, t)[0]
             res = float(np.abs(disc.F @ (c - g)).max())
             history.append(res)

@@ -48,9 +48,9 @@ def weak():
     grid = build_grid(p, 129)
     disc = Discretization(k, grid)
     opts = SolverOpts()
-    tc = find_Tc(k, p, opts, grid=grid)
+    tc = find_Tc(k, grid, opts)
     v = extract_v(disc, tc)
-    return dict(p=p, dos=SqrtBandDos(1.0, p), disc=disc, opts=opts,
+    return dict(p=p, dos=SqrtBandDos(p), disc=disc, opts=opts,
                 tc=tc, v=v, setup_runtime=time.time() - t0)
 
 
@@ -75,7 +75,7 @@ def test_criterion_01_universal_constant():
 def test_criterion_02_full_pipeline_ratio(weak):
     t0 = time.time()
     tc = weak["tc"]
-    ratio = weak["v"].jump / cv_normal(tc, weak["p"], weak["dos"])
+    ratio = weak["v"].jump / cv_normal(tc, weak["dos"])
     shell = 1.0 / (2.0 * tc)
     cutoff = weak["p"].epsilon / (2.0 * tc)
     ok = abs(ratio - RATIO_TARGET) <= 0.02 * RATIO_TARGET and cutoff <= 1e-4
@@ -102,12 +102,12 @@ def test_criterion_02b_ratio_universal_across_kernel_types():
                "separable": SeparablePotential(
                    fn, np.sqrt(u0 * (1.0 + 0.1 * np.sin(5.0 * fn))), p),
                "tabulated": TabulatedPotential(x, table, p)}
-    grid = build_grid(p)
+    grid = build_grid(p, 129)
     devs = {}
     for name, kernel in kernels.items():
-        tc = find_Tc(kernel, p, grid=grid)
+        tc = find_Tc(kernel, grid)
         jump = extract_v(Discretization(kernel, grid), tc).jump
-        devs[name] = jump / cv_normal(tc, p, FlatShellDos(1.0, p)) / RATIO_TARGET - 1.0
+        devs[name] = jump / cv_normal(tc, FlatShellDos(p)) / RATIO_TARGET - 1.0
     runtime = time.time() - t0
     ok = max(map(abs, devs.values())) <= 1e-4 and runtime < 1.0
     report("02b ratio universal across kernel types", ok,
@@ -199,7 +199,7 @@ def test_criterion_07a_contraction_bound_feasible():
     k = ConstantPotential(u0, p)
     grid = build_grid(p, 65)
     opts = SolverOpts()
-    tc = find_Tc(k, p, opts, grid=grid)
+    tc = find_Tc(k, grid, opts)
     rep = contraction_diagnostics(Discretization(k, grid), tc * (1.0 - 1e-5), tc)
     ok = rep.alpha_feasible
     report("07a contraction bound alpha < 1", ok,
@@ -214,7 +214,7 @@ def test_criterion_07b_iteration_ratios_below_bound(default_params, picard):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     disc = Discretization(k, grid)
-    tc = find_Tc(k, p, SolverOpts(), grid=grid)
+    tc = find_Tc(k, grid, SolverOpts())
     worst = 0.0
     for frac in (0.9, 0.95, 0.98):
         r = np.array(picard(frac * tc, disc)[1])
@@ -232,7 +232,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params, picard):
     grid = build_grid(p, 129)
     disc = Discretization(k, grid)
     opts = SolverOpts()
-    tc = find_Tc(k, p, opts, grid=grid)
+    tc = find_Tc(k, grid, opts)
     d20 = solve_simple_gap(0.0, p.u2, p)
     tol = SolverOpts().resolved_tol(d20)
     worst = 0.0

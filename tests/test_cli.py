@@ -119,6 +119,7 @@ def test_load_config_rejects_unparseable_numbers(tmp_path, line):
     ("tolerances.t_tol = nan", ("tc",)),
     ("tolerances.t_tol = inf", ("tc",)),
     ("", ("--tol", "0", "tc")),
+    ("tolerances.solver_tol = 1.2e-17", ("sweep",)),
 ])
 def test_cli_rejects_bad_tolerances(tmp_path, line, args):
     # each once ended in a traceback, a hang or T_c = tau_2 with exit 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bcsgap import ConfigError, RunConfig, eval_kernel, load_config
+from bcsgap import ConfigError, RunConfig, load_config
 from bcsgap.config import KNOWN_KEYS
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -32,6 +32,14 @@ _BASE = st.sampled_from([
 _FILE = st.tuples(
     _BASE, st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)), _VALUE, max_size=3),
 ).map(lambda t: {**t[0], **t[1]})
+
+
+def eval_kernel(spec, x, xi):
+    """U(x, xi) from the kernel's factors, broadcast over x and xi."""
+    x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
+    f, g = spec.factors(x.ravel(), xi.ravel())
+    out = np.sum(f * g, axis=1).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @hypothesis.settings(max_examples=300)

@@ -21,7 +21,7 @@ OPTS = SolverOpts()
 
 @pytest.fixture(scope="module")
 def tc():
-    return find_Tc(K, P, OPTS, grid=GRID)
+    return find_Tc(K, GRID, OPTS)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,7 @@ def test_linear_law_intercept_matches_polyfit_on_random_points(n):
 ], ids=["separable", "tabulated"])
 def test_linear_law_intercept_matches_polyfit_on_hc_curves(kernel):
     disc = Discretization(kernel, GRID)
-    t_c = find_Tc(kernel, P, OPTS, grid=GRID)
+    t_c = find_Tc(kernel, GRID, OPTS)
     ts = hc_temperatures(np.linspace(0.0, t_c, 25), t_c)
     curve = build_hc_curve(sweep(ts, disc, OPTS, tc=t_c), extract_v(disc, t_c),
                            disc, OPTS)

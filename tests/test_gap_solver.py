@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     solve_simple_gap, solve_tau, sweep, validate_params)
 import bcsgap.gap_solver as gap_solver
 from bcsgap.critical_field import hc_temperatures
-from bcsgap.gap_solver import Discretization, perron
+from bcsgap.gap_solver import NEWTON_BUDGET, Discretization, perron
 from bcsgap.interpolate import MonotoneCubic
 from bcsgap.quadrature import composite_gauss
 from bcsgap.special import sech2
@@ -152,7 +153,7 @@ def test_grid_refinement_converges():
 
 
 def test_two_seeds_same_fixed_point(picard):
-    tc = find_Tc(K, P, OPTS, grid=GRID)
+    tc = find_Tc(K, GRID, OPTS)
     t = 0.9 * tc
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
@@ -258,7 +259,7 @@ def test_perron_matches_lapack(r, kappa):
 @pytest.mark.parametrize("frac", [0.5, 0.95])
 def test_newton_matches_picard_reference(kernel, frac, picard):
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, SolverOpts(), grid=GRID)
+    tc = find_Tc(kernel, GRID, SolverOpts())
     d20 = solve_simple_gap(0.0, P.u2, P)
     tol = OPTS.resolved_tol(d20)
     newton = solve_at_T(frac * tc, disc, OPTS)
@@ -272,11 +273,11 @@ def test_picard_stops_at_the_roundoff_floor(picard):
     # budget; ratios measured there are noise and must not block the stop
     grid = build_grid(P, 33)
     disc = Discretization(K, grid)
-    tc = find_Tc(K, P, SolverOpts(), grid=grid)
+    tc = find_Tc(K, grid, SolverOpts())
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
     t = tc * (1.0 - 2.0 ** -4)
     newton = solve_at_T(t, disc, SolverOpts(tol=tol))
-    plain = picard(t, disc, SolverOpts(tol=tol, max_iter=60_000))[0]
+    plain = picard(t, disc, SolverOpts(tol=tol), max_iter=60_000)[0]
     assert np.max(np.abs(plain.values - newton.values)) <= tol
 
 
@@ -286,15 +287,26 @@ def test_picard_stops_at_the_roundoff_floor(picard):
 def test_newton_stops_at_the_roundoff_floor(kernel, n):
     # near T_c the Jacobian is nearly singular, so once the residual sits at
     # its roundoff floor the Newton step is amplified noise that need not
-    # fall below tol; the solve must stop there instead of running on
+    # fall below tol; the solve must stop there instead of running on, well
+    # inside the budget, down to the first double below T_c with a nonzero
+    # slice (a double between, where rho - 1 is at roundoff, may raise)
     grid = build_grid(P, n)
     disc = Discretization(kernel, grid)
-    tc = find_Tc(kernel, P, SolverOpts(), grid=grid)
+    tc = find_Tc(kernel, grid, SolverOpts())
     tol = 1e-14 * solve_simple_gap(0.0, P.u2, P)
-    opts = SolverOpts(tol=tol, max_iter=100)
-    for k in range(1, 21):
-        sl = solve_at_T(tc * (1.0 - 2.0 ** -k), disc, opts)
+    opts = SolverOpts(tol=tol)
+    last = tc
+    while True:
+        try:
+            if solve_at_T(last, disc, opts).sup() > 0.0:
+                break
+        except NumericalError:  # a pivot <= 0 in I - core(dphi/du)
+            pass
+        last = float(np.nextafter(last, 0.0))
+    for t in [tc * (1.0 - 2.0 ** -k) for k in [*range(1, 21), 40]] + [last]:
+        sl = solve_at_T(t, disc, opts)
         assert sl.final_residual <= tol
+        assert sl.iterations <= NEWTON_BUDGET // 2
 
 
 def roadmap_separable_kernel(params):
@@ -338,19 +350,19 @@ def test_find_tc_is_the_threshold_of_the_iterated_operator(kernel):
     # the continuum threshold with the interpolation order, with no offset
     ref = _continuum_tc(kernel)
     for n in (129, 257, 513):
-        tc = find_Tc(kernel, P, OPTS, grid=build_grid(P, n))
+        tc = find_Tc(kernel, build_grid(P, n), OPTS)
         assert abs(tc - ref) <= 1e-6 * ref
 
 
 @THRESHOLD_KERNELS
 def test_jump_ratio_is_grid_independent(kernel):
-    dos = SqrtBandDos(P.n0, P)
+    dos = SqrtBandDos(P)
     ratios = []
     for n in (129, 257, 513):
         grid = build_grid(P, n)
-        tc = find_Tc(kernel, P, OPTS, grid=grid)
+        tc = find_Tc(kernel, grid, OPTS)
         ratios.append(extract_v(Discretization(kernel, grid), tc).jump
-                      / cv_normal(tc, P, dos))
+                      / cv_normal(tc, dos))
     assert np.ptp(ratios) <= 2e-5 * np.mean(ratios)
 
 
@@ -359,18 +371,18 @@ def test_bifurcation_v_holds_ratio_and_amplitude_across_grids(kernel):
     # the entropy form of the jump, n0/(2 T_c) (integral of v sech^2), is
     # linear in v and v.jump, the integral of v^2 g, quadratic: they agree
     # only when the amplitude of v is right
-    dos = SqrtBandDos(P.n0, P)
+    dos = SqrtBandDos(P)
     ratios = []
     for n in (129, 257, 513):
         grid = build_grid(P, n)
-        tc = find_Tc(kernel, P, OPTS, grid=grid)
+        tc = find_Tc(kernel, grid, OPTS)
         v = extract_v(Discretization(kernel, grid), tc)
         qn, qw = composite_gauss(grid.nodes)
         entropy = P.n0 / (2.0 * tc) * float(
             qw @ (MonotoneCubic(v.x, v.values)(qn) * sech2(qn / (2.0 * tc))))
         assert abs(v.jump / entropy - 1.0) <= 1e-7
         assert np.all(v.fit_residual <= 1e-7 * v.values)
-        ratios.append(v.jump / cv_normal(tc, P, dos))
+        ratios.append(v.jump / cv_normal(tc, dos))
     assert np.ptp(ratios) <= 1e-7 * np.mean(ratios)
 
 
@@ -381,7 +393,7 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
     # closed-form limit, minus 1, are both O(T_c - T): a factor 16 in four
     # rungs, with no floor from the way v is found
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     v = extract_v(disc, tc)
     s_tc = slope_at_tc(v, tc)
     opts = SolverOpts(tol=1e-15 * solve_simple_gap(0.0, P.u2, P))
@@ -404,7 +416,7 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
 @THRESHOLD_KERNELS
 def test_du_dT_matches_differences_of_converged_solves(kernel):
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     opts = SolverOpts(tol=1e-13 * solve_simple_gap(0.0, P.u2, P))
     for frac in (0.5, 0.95, 1.0 - 2.0 ** -10):
         t = frac * tc
@@ -427,7 +439,7 @@ def test_psi_derivative_is_the_derivative_along_converged_solves(kernel, n, frac
     grid = build_grid(P, n)
     disc = Discretization(kernel, grid)
     opts = SolverOpts(tol=1e-15 * delta_at_zero(P.u2, P))
-    t = frac * find_Tc(kernel, P, OPTS, grid=grid)
+    t = frac * find_Tc(kernel, grid, OPTS)
     sl = solve_at_T(t, disc, opts)
     ana = psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
 
@@ -460,8 +472,11 @@ def test_psi_integrates_the_slice_the_solver_produced(t):
 
 
 def test_iteration_budget_error_carries_state():
+    # a tolerance below the roundoff floor runs out the Newton budget, fast
+    t0 = time.perf_counter()
     with pytest.raises(NumericalError) as exc:
-        solve_at_T(0.01, DISC, SolverOpts(max_iter=3))
+        solve_at_T(0.01, DISC, SolverOpts(tol=1e-30))
+    assert time.perf_counter() - t0 < 5.0
     assert exc.value.best is not None and exc.value.residual is not None
 
 
@@ -491,7 +506,7 @@ def test_sweep_lipschitz_with_feasible_gamma():
     p = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.3, 0.3012))
     k = ConstantPotential(0.3005, p)
     disc = Discretization(k, build_grid(p, 65))
-    tc = find_Tc(k, p, SolverOpts(), grid=disc.grid)
+    tc = find_Tc(k, disc.grid, SolverOpts())
     rep = contraction_diagnostics(disc, 0.9 * solve_tau(0.3005, p), tc)
     assert rep.gamma_feasible and rep.gamma > 0
     t3 = rep.tau3
@@ -516,13 +531,13 @@ def test_sweep_rejects_bad_grids():
 def test_find_tc_constant_kernel_matches_tau():
     tau2 = solve_tau(P.u2, P)
     t_tol = OPTS.resolved_t_tol(tau2)
-    tc = find_Tc(K, P, OPTS, grid=GRID)
+    tc = find_Tc(K, GRID, OPTS)
     assert abs(tc - solve_tau(0.3, P)) < 10 * t_tol
 
 
 def test_find_tc_between_envelope_temperatures():
     ks = separable_kernel(P)
-    tc = find_Tc(ks, P, OPTS, grid=GRID)
+    tc = find_Tc(ks, GRID, OPTS)
     assert solve_tau(P.u1, P) <= tc <= solve_tau(P.u2, P)
 
 
@@ -538,7 +553,7 @@ def test_sweep_warm_start_matches_cold_solves_in_fewer_steps(kernel, grid_kind):
     # temperature: the same fixed point as a cold start, never more Newton
     # steps on any row, and markedly fewer in total
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     ts = (np.linspace(0.0, solve_tau(P.u2, P), 33) if grid_kind == "linspace"
           else hc_temperatures(np.linspace(0.0, tc, 33), tc))
     warm = sweep(ts, disc, OPTS, tc=tc).slices
@@ -573,7 +588,7 @@ def test_find_tc_lands_on_the_threshold_in_few_perron_roots(kernel, n, monkeypat
         return radius(self, weight)
 
     monkeypatch.setattr(Discretization, "spectral_radius", counted)
-    tc = find_Tc(kernel, P, OPTS, grid=grid)
+    tc = find_Tc(kernel, grid, OPTS)
     assert len(roots) <= 16
     assert abs(tc - hi) <= 1e-14 * hi
     assert not gap_solver._supercritical(disc, tc)
@@ -584,7 +599,7 @@ def test_constant_kernel_tc_and_jump_match_mpmath():
     # same equation gives v = -dDelta^2/dT = F_T / F_D at (T_c, 0), and
     # Delta C_V = -n0 v^2 / (16 T_c^2) * int g(xi/2T_c) dxi
     mp = pytest.importorskip("mpmath")
-    tc = find_Tc(K, P, OPTS, grid=GRID)
+    tc = find_Tc(K, GRID, OPTS)
     jump = extract_v(DISC, tc).jump
     with mp.workdps(30):
         u0, eps, om = mp.mpf(K.u0), mp.mpf(P.epsilon), mp.mpf(P.hbar_omega_d)
@@ -613,7 +628,7 @@ def test_solves_straddling_tc_change_zero_classification(kernel):
     # find_Tc runs no solve: the zero slice at and above T_c, and a nonzero
     # one below it, are properties of solve_at_T, checked here
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     d20 = solve_simple_gap(0.0, P.u2, P)
     t_tol = OPTS.resolved_t_tol(solve_tau(P.u2, P))
     for m in (0.02 * tc, 10 * t_tol):
@@ -643,13 +658,13 @@ def solve_calls(monkeypatch):
 
 @ALL_KERNELS
 def test_find_tc_runs_no_solve(kernel, solve_calls):
-    find_Tc(kernel, P, OPTS, grid=GRID)
+    find_Tc(kernel, GRID, OPTS)
     assert solve_calls["solve_at_T"] == 0
 
 
 @ALL_KERNELS
 def test_solve_at_t_runs_no_envelope_solve(kernel, solve_calls):
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     disc = Discretization(kernel, GRID)
     for frac in (0.0, 0.5, 0.99):
         solve_at_T(frac * tc, disc, OPTS)
@@ -662,7 +677,7 @@ def test_newton_from_the_default_seed_converges_quickly(kernel, frac):
     # the constant Delta_2(0) is a supersolution at every T, so every step
     # is a Newton step and the count stays flat up to T_c
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     sl = solve_at_T(frac * tc, disc, OPTS)
     assert sl.sup() > 0.0
     assert sl.iterations <= 25
@@ -676,7 +691,7 @@ def test_newton_seed_is_a_supersolution(kernel, frac):
     # on the grid, and the map takes it to at or below itself: Newton on the
     # concave map starts, and stays, above the fixed point
     disc = Discretization(kernel, GRID)
-    t = frac * find_Tc(kernel, P, OPTS, grid=GRID)
+    t = frac * find_Tc(kernel, GRID, OPTS)
     d20 = delta_at_zero(P.u2, P)
     c0 = disc.Gw.T @ gap_solver._gap_terms(disc, np.full(disc.qn.size, d20), t)[0]
     assert np.all(disc.F @ c0 < d20)
@@ -692,7 +707,7 @@ def test_newton_steps_only_from_supersolutions(kernel, monkeypatch):
     # floor, where the residual inside tol has stopped falling (reached, if
     # at all, only at the tight tolerance)
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     d20 = delta_at_zero(P.u2, P)
     solve_linearized, solve = Discretization.solve_linearized, gap_solver.solve_at_T
     residuals = []
@@ -776,7 +791,7 @@ def test_solve_linearized_on_the_solver_cores_matches_lapack(kernel, monkeypatch
     # every Newton step and du/dT solve the solver makes, down to 2^-10
     # below T_c where I - core(dphi/du) is nearest singular
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     seen = []
     solve = Discretization.solve_linearized
 
@@ -796,7 +811,7 @@ def test_solve_linearized_on_the_solver_cores_matches_lapack(kernel, monkeypatch
 def test_picard_from_a_low_seed_is_undamped(picard):
     # the residual grows while an iterate rises from a subsolution; halving
     # the steps there would double the iteration count
-    tc = find_Tc(K, P, OPTS, grid=GRID)
+    tc = find_Tc(K, GRID, OPTS)
     d20 = solve_simple_gap(0.0, P.u2, P)
     newton = solve_at_T(0.9 * tc, DISC, OPTS)
     low = picard(0.9 * tc, DISC, seed=1e-3 * d20)[0]
@@ -878,7 +893,7 @@ def test_coded_alpha_exceeds_perron_root():
     k = ConstantPotential(u0, p)
     grid = build_grid(p, 65)
     opts = SolverOpts()
-    tc = find_Tc(k, p, opts, grid=grid)
+    tc = find_Tc(k, grid, opts)
     tau = tc * (1.0 - 1e-5)
     rep = contraction_diagnostics(Discretization(k, grid), tau, tc)
 

@@ -29,7 +29,7 @@ TEMPS = (EPS / 2.0, 0.02, TAU2, 0.3)
 
 
 def _dos(kind, p):
-    return (SqrtBandDos if kind == "sqrt_band" else FlatShellDos)(N0, p)
+    return (SqrtBandDos if kind == "sqrt_band" else FlatShellDos)(p)
 
 
 def _mp_dos(kind, mu):
@@ -84,7 +84,7 @@ def test_omega_normal_mpmath_oracle(kind, mu, t):
     p = _params(mu)
     with mp.workdps(20):
         ref = float(_omega_oracle(kind, mu, t))
-    assert omega_normal(t, p, _dos(kind, p)) == pytest.approx(ref, rel=1e-13, abs=0)
+    assert omega_normal(t, _dos(kind, p)) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("kind", DOS_MODELS)
@@ -95,7 +95,7 @@ def test_cv_normal_mpmath_oracle(kind, mu, t):
     p = _params(mu)
     with mp.workdps(20):
         ref = float(4 * t * _j_oracle(kind, mu, t))
-    assert cv_normal(t, p, _dos(kind, p)) == pytest.approx(ref, rel=1e-13, abs=0)
+    assert cv_normal(t, _dos(kind, p)) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_universal_constant_mpmath_oracle():

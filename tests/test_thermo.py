@@ -21,8 +21,8 @@ K = ConstantPotential(0.3, P)
 GRID = build_grid(P, 129)
 DISC = Discretization(K, GRID)
 OPTS = SolverOpts()
-DOS = SqrtBandDos(1.0, P)
-FLAT = FlatShellDos(1.0, P)
+DOS = SqrtBandDos(P)
+FLAT = FlatShellDos(P)
 
 # mpmath oracle, 30 digits
 G_AT_ONE = -0.34161981434173882
@@ -81,8 +81,8 @@ def test_omega_normal_energy_only_terms_flat_shell():
     # the two temperature-free integrals against polynomial antiderivatives
     eps, om, mu = P.epsilon, P.hbar_omega_d, P.mu
     o1 = -P.n0 * (om ** 2 - eps ** 2)
-    o3 = FLAT.n0 * (om ** 2 - mu ** 2)
-    assert omega_normal(0.0, P, FLAT) == pytest.approx(o1 + o3, rel=1e-12)
+    o3 = FLAT.params.n0 * (om ** 2 - mu ** 2)
+    assert omega_normal(0.0, FLAT) == pytest.approx(o1 + o3, rel=1e-12)
 
 
 def test_omega_normal_energy_only_terms_sqrt_band():
@@ -91,7 +91,7 @@ def test_omega_normal_energy_only_terms_sqrt_band():
     o1 = -P.n0 * (om ** 2 - eps ** 2)
     tmax = mu - om
     o3 = 2.0 / math.sqrt(eps + mu) * (0.4 * tmax ** 2.5 - (2.0 / 3.0) * mu * tmax ** 1.5)
-    assert omega_normal(0.0, P, DOS) == pytest.approx(o1 + o3, rel=1e-10)
+    assert omega_normal(0.0, DOS) == pytest.approx(o1 + o3, rel=1e-10)
 
 
 def test_omega_normal_fermi_terms_vanish_at_low_temperature():
@@ -102,8 +102,8 @@ def test_omega_normal_fermi_terms_vanish_at_low_temperature():
     shell = 4.0 * p.n0 * t * integrate(
         lambda x: np.log1p(np.exp(-x / t)), p.epsilon, p.hbar_omega_d, 1e-30).value
     assert shell < 1e-20
-    assert omega_normal(t, p, FlatShellDos(1.0, p)) == pytest.approx(
-        omega_normal(0.0, p, FlatShellDos(1.0, p)), abs=1e-18)
+    assert omega_normal(t, FlatShellDos(p)) == pytest.approx(
+        omega_normal(0.0, FlatShellDos(p)), abs=1e-18)
 
 
 def test_omega_normal_term_additivity():
@@ -116,7 +116,7 @@ def test_omega_normal_term_additivity():
         -2.0 * t * integrate(lambda x: eval_dos(DOS, x) * np.log1p(np.exp(x / t)), -mu, -om, tol).value,
         -2.0 * t * integrate_tail(lambda x: eval_dos(DOS, x) * np.log1p(np.exp(-x / t)), om, t, tol).value,
     ]
-    assert omega_normal(t, P, DOS) == pytest.approx(sum(terms), abs=5 * tol)
+    assert omega_normal(t, DOS) == pytest.approx(sum(terms), abs=5 * tol)
 
 
 def test_cv_normal_matches_substituted_form_at_tc():
@@ -126,29 +126,29 @@ def test_cv_normal_matches_substituted_form_at_tc():
     c = (8.0 * tc * P.n0 * integrate(lambda e: e * e * sech2(e), ehat, b, tol).value
          + 4.0 * tc * integrate(lambda e: eval_dos(DOS, -2 * tc * e) * e * e * sech2(e), b, mhat, tol).value
          + 4.0 * tc * integrate_tail(lambda e: eval_dos(DOS, 2 * tc * e) * e * e * sech2(e), b, 0.5, tol).value)
-    assert cv_normal(tc, P, DOS) == pytest.approx(c, rel=1e-10)
+    assert cv_normal(tc, DOS) == pytest.approx(c, rel=1e-10)
 
 
 def test_cv_normal_flat_shell_wide_limit():
     p = validate_params(PhysicalParams(1e-9, 1.0, 20.0, 1.0, 0.25, 0.35))
     t = 0.01
     expected = 8.0 * t * p.n0 * math.pi ** 2 / 12.0
-    assert cv_normal(t, p, FlatShellDos(1.0, p)) == pytest.approx(expected, rel=1e-6)
+    assert cv_normal(t, FlatShellDos(p)) == pytest.approx(expected, rel=1e-6)
 
 
 def test_cv_normal_against_second_differences():
     t = 0.02
     h = 1e-3 * t
     tol = 1e-13
-    fd = -(t / h ** 2) * (omega_normal(t + h, P, DOS)
-                          - 2.0 * omega_normal(t, P, DOS)
-                          + omega_normal(t - h, P, DOS))
-    assert fd == pytest.approx(cv_normal(t, P, DOS), rel=1e-2)
+    fd = -(t / h ** 2) * (omega_normal(t + h, DOS)
+                          - 2.0 * omega_normal(t, DOS)
+                          + omega_normal(t - h, DOS))
+    assert fd == pytest.approx(cv_normal(t, DOS), rel=1e-2)
 
 
 @pytest.fixture(scope="module")
 def tc_const():
-    return find_Tc(K, P, OPTS, grid=GRID)
+    return find_Tc(K, GRID, OPTS)
 
 
 @pytest.fixture(scope="module")
@@ -283,10 +283,10 @@ def test_cv_ratio_wide_shell_band():
     p6 = validate_params(PhysicalParams(1e-6, 1.0, 20.0, 1.0, 0.15, 0.25))
     k = ConstantPotential(0.2, p6)
     g = build_grid(p6, 129)
-    tc = find_Tc(k, p6, OPTS, grid=g)
+    tc = find_Tc(k, g, OPTS)
     assert 1.0 / (2.0 * tc) >= 25.0 and p6.epsilon / (2.0 * tc) <= 1e-4
     v = extract_v(Discretization(k, g), tc)
-    ratio = v.jump / cv_normal(tc, p6, SqrtBandDos(1.0, p6))
+    ratio = v.jump / cv_normal(tc, SqrtBandDos(p6))
     assert abs(ratio - 12.0 / (7.0 * ZETA3)) <= 0.02 * 12.0 / (7.0 * ZETA3)
 
 
@@ -320,7 +320,7 @@ def _tabulated(params):
 @pytest.mark.parametrize("kernel", [K, _separable(P), _tabulated(P)],
                          ids=["constant", "separable", "tabulated"])
 def test_jump_positive_for_every_kernel_type(kernel):
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     assert extract_v(Discretization(kernel, GRID), tc).jump > 0.0
 
 
@@ -330,7 +330,7 @@ def test_cv_super_is_cv_normal_where_psi_vanishes(kernel):
     # from T_c up Psi is identically zero, so the superconducting specific
     # heat is the normal one on every such row, the first above T_c included
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     ts = np.linspace(0.0, solve_tau(P.u2, P), 33)
     curve = build_thermo_curve(sweep(ts, disc, OPTS, tc=tc), disc, DOS)
     zero = curve.psi == 0.0
@@ -365,7 +365,7 @@ def default_curve(request):
     kernel = {"constant": K, "separable": _separable(P),
               "tabulated": _tabulated(P)}[request.param]
     disc = Discretization(kernel, GRID)
-    tc = find_Tc(kernel, P, OPTS, grid=GRID)
+    tc = find_Tc(kernel, GRID, OPTS)
     ts = np.linspace(0.0, solve_tau(P.u2, P), 33)
     return request.param, disc, tc, build_thermo_curve(sweep(ts, disc, OPTS, tc=tc),
                                                        disc, DOS)
@@ -386,7 +386,7 @@ def test_cv_super_matches_differenced_potential(default_curve):
     for t, cvs in zip(curve.t, curve.cv_super):
         if 0.0 < t < tc:
             h = 1e-5 * t
-            ref = cv_normal(t, P, DOS) - t * (dpsi(t + h) - dpsi(t - h)) / (2.0 * h)
+            ref = cv_normal(t, DOS) - t * (dpsi(t + h) - dpsi(t - h)) / (2.0 * h)
             rows.append((t / tc, cvs, abs(cvs / ref - 1.0)))
     frac, cvs, err = np.array(rows).T
     if name == "separable":
