@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (RunConfig, load_config, temperature, temperature_count,
-                     tolerance)
+from .config import RunConfig, load_config, temperature, temperature_count
 from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (Discretization, SolverOpts, build_grid,
@@ -40,35 +39,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
-
-
-def _write_kv(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for k, v in data.items():
-            fh.write(f"{k} = {_fmt(v)}\n")
-
-
-def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
-    data = {"tool_version": __version__}
-    data.update({f"config.{k}": v for k, v in sorted(cfg.resolved.items())})
-    for k, v in sorted(cfg.defaults_applied.items()):
-        data[f"defaulted.{k}"] = v
-    p = cfg.params
-    data["derived.tau1"] = solve_tau(p.u1, p)
-    data["derived.tau2"] = solve_tau(p.u2, p)
-    data["derived.tau0"] = solve_tau0(p)
-    data["derived.tau3"] = tau3(p)
-    data["derived.solver_tol"] = _opts(cfg).resolved_tol(delta_at_zero(p.u2, p))
-    if extra:
-        data.update(extra)
-    return data
-
-
 def _opts(cfg: RunConfig) -> SolverOpts:
     return SolverOpts(tol=cfg.solver_tol, t_tol=cfg.t_tol)
 
@@ -78,9 +48,42 @@ def _disc(cfg: RunConfig) -> Discretization:
     return Discretization(cfg.potential, build_grid(cfg.params, cfg.energy_points))
 
 
-def _out_path(args, name: str) -> str:
+def _stages(cfg: RunConfig) -> tuple[Discretization, SolverOpts, float]:
+    """The discretization, solver options and T_c of a request."""
+    disc, opts = _disc(cfg), _opts(cfg)
+    return disc, opts, find_Tc(cfg.potential, disc.grid, opts)
+
+
+def _write(args, cfg: RunConfig, name: str, extra: dict,
+           columns: dict | None = None) -> str:
+    """Write the output `name` under --out and return its path.
+
+    Every output carries one record: cfg's resolved values and defaults, the
+    derived temperatures and solver tolerance, then extra.  With columns
+    (header -> array), `name` is their CSV and the record its .meta sidecar;
+    without, `name` is the record.
+    """
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = record = os.path.join(args.out, name)
+    if columns:
+        record += ".meta"
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(line % row for row in
+                          zip(*(c.tolist() for c in columns.values())))
+    p = cfg.params
+    data = {
+        "tool_version": __version__,
+        **{f"config.{k}": v for k, v in sorted(cfg.resolved.items())},
+        **{f"defaulted.{k}": v for k, v in sorted(cfg.defaults_applied.items())},
+        "derived.tau1": solve_tau(p.u1, p), "derived.tau2": solve_tau(p.u2, p),
+        "derived.tau0": solve_tau0(p), "derived.tau3": tau3(p),
+        "derived.solver_tol": _opts(cfg).resolved_tol(delta_at_zero(p.u2, p)),
+        **extra}
+    with open(record, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{k} = {_fmt(v)}\n" for k, v in data.items())
+    return path
 
 
 def _say(args, text: str) -> None:
@@ -89,127 +92,105 @@ def _say(args, text: str) -> None:
 
 
 def _t_grid(args, cfg: RunConfig, upper: float) -> np.ndarray:
-    t_min = args.t_min if args.t_min is not None else 0.0
-    t_max = args.t_max if args.t_max is not None else upper
-    t_points = args.t_points if args.t_points is not None else cfg.t_points
-    return np.linspace(t_min, t_max, t_points)
+    return np.linspace(args.t_min, upper if args.t_max is None else args.t_max,
+                       args.t_points or cfg.t_points)
 
 
 def cmd_simple_gap(args, cfg: RunConfig) -> int:
-    u = cfg.params.u1 if args.coupling == "u1" else cfg.params.u2
+    u = getattr(cfg.params, args.coupling)
     curve = build_simple_gap_curve(u, cfg.params, args.t_points or cfg.t_points)
-    path = args.csv or _out_path(args, "simple_gap.csv")
-    _write_csv(path, ["T", "delta", "residual"], [curve.t, curve.delta, curve.residual])
-    _write_kv(path + ".meta", _meta(cfg, {"coupling": u, "tau": curve.tau}))
+    path = _write(args, cfg, "simple_gap.csv", {"coupling": u, "tau": curve.tau},
+                  {"T": curve.t, "delta": curve.delta, "residual": curve.residual})
     _say(args, f"wrote {path} (tau = {_fmt(curve.tau)})")
     return 0
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
     sl = solve_at_T(args.t, _disc(cfg), _opts(cfg))
-    path = _out_path(args, "gap.csv")
-    _write_csv(path, ["x", "u"], [sl.x, sl.values])
-    _write_kv(path + ".meta", _meta(cfg, {
-        "T": sl.T, "iterations": sl.iterations, "final_residual": sl.final_residual}))
+    path = _write(args, cfg, "gap.csv", {
+        "T": sl.T, "iterations": sl.iterations, "final_residual": sl.final_residual},
+        {"x": sl.x, "u": sl.values})
     _say(args, f"wrote {path} (iterations = {sl.iterations}, residual = {_fmt(sl.final_residual)})")
     return 0
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
+    disc, opts, tc = _stages(cfg)
     ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
-    tc = find_Tc(cfg.potential, disc.grid, opts)
-    surface = sweep(ts, disc, opts, tc=tc)
+    slices = sweep(ts, disc, opts, tc=tc).slices
     n = disc.grid.count
-    t_col = np.repeat(ts, n)
-    x_col = np.tile(disc.grid.nodes, ts.size)
-    u_col = np.concatenate([sl.values for sl in surface.slices])
-    r_col = np.repeat([sl.final_residual for sl in surface.slices], n)
-    i_col = np.repeat([float(sl.iterations) for sl in surface.slices], n)
-    path = _out_path(args, "sweep.csv")
-    _write_csv(path, ["T", "x", "u", "residual", "iterations"],
-               [t_col, x_col, u_col, r_col, i_col])
-    _write_kv(path + ".meta", _meta(cfg, {"Tc": surface.tc}))
-    _say(args, f"wrote {path} (Tc = {_fmt(surface.tc)})")
+    path = _write(args, cfg, "sweep.csv", {"Tc": tc}, {
+        "T": np.repeat(ts, n), "x": np.tile(disc.grid.nodes, ts.size),
+        "u": np.concatenate([sl.values for sl in slices]),
+        "residual": np.repeat([sl.final_residual for sl in slices], n),
+        "iterations": np.repeat([float(sl.iterations) for sl in slices], n)})
+    _say(args, f"wrote {path} (Tc = {_fmt(tc)})")
     return 0
 
 
 def cmd_tc(args, cfg: RunConfig) -> int:
     tc = find_Tc(cfg.potential, build_grid(cfg.params, cfg.energy_points), _opts(cfg))
-    _write_kv(_out_path(args, "tc.meta"), _meta(cfg, {"Tc": tc}))
+    _write(args, cfg, "tc.meta", {"Tc": tc})
     _say(args, _fmt(tc))
     return 0
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, disc.grid, opts)
+    disc, _, tc = _stages(cfg)
     rep = contraction_diagnostics(disc, args.tau, tc)
-    path = _out_path(args, "diagnose.txt")
-    _write_kv(path, _meta(cfg, {
+    path = _write(args, cfg, "diagnose.txt", {
         "tau": rep.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
         "alpha": rep.alpha, "gamma_feasible": rep.gamma_feasible,
         "alpha_feasible": rep.alpha_feasible, "tau0": rep.tau0,
         "tau3": rep.tau3, "Tc": rep.tc,
         "alpha_argmax_T": rep.alpha_argmax[0],
-        "alpha_argmax_x": rep.alpha_argmax[1]}))
+        "alpha_argmax_x": rep.alpha_argmax[1]})
     _say(args, f"wrote {path} (alpha = {_fmt(rep.alpha)}, "
                f"feasible = {rep.alpha_feasible})")
     return 0
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
-    ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
-    tc = find_Tc(cfg.potential, disc.grid, opts)
-    surface = sweep(ts, disc, opts, tc=tc)
+    disc, opts, tc = _stages(cfg)
+    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)),
+                    disc, opts, tc=tc)
     curve = build_thermo_curve(surface, disc, cfg.dos)
-    path = _out_path(args, "thermo.csv")
-    _write_csv(path, ["T", "omega_n", "psi", "dpsi_dT", "cv_normal", "cv_super"],
-               [curve.t, curve.omega_n, curve.psi, curve.dpsi_dT,
-                curve.cv_normal, curve.cv_super])
-    _write_kv(path + ".meta", _meta(cfg, {"Tc": surface.tc}))
+    path = _write(args, cfg, "thermo.csv", {"Tc": tc}, {
+        "T": curve.t, "omega_n": curve.omega_n, "psi": curve.psi,
+        "dpsi_dT": curve.dpsi_dT, "cv_normal": curve.cv_normal,
+        "cv_super": curve.cv_super})
     _say(args, f"wrote {path}")
     return 0
 
 
 def cmd_ratio(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, disc.grid, opts)
+    disc, _, tc = _stages(cfg)
     dcv = extract_v(disc, tc).jump
     cvn = cv_normal(tc, cfg.dos)
-    ratio = dcv / cvn
-    uni = universal_constant()
-    path = _out_path(args, "ratio.txt")
-    _write_kv(path, _meta(cfg, {
+    ratio, uni = dcv / cvn, universal_constant()
+    _write(args, cfg, "ratio.txt", {
         "Tc": tc, "delta_cv": dcv, "cv_normal_tc": cvn, "ratio": ratio,
-        "universal_constant": uni, "ratio_minus_universal": ratio - uni}))
+        "universal_constant": uni, "ratio_minus_universal": ratio - uni})
     _say(args, f"ratio = {_fmt(ratio)} (universal constant {_fmt(uni)}, "
                f"difference {_fmt(ratio - uni)})")
     return 0
 
 
 def cmd_vfun(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, disc.grid, opts)
+    disc, _, tc = _stages(cfg)
     v = extract_v(disc, tc)
-    path = _out_path(args, "vfun.csv")
-    _write_csv(path, ["x", "v", "fit_residual"], [v.x, v.values, v.fit_residual])
-    _write_kv(path + ".meta", _meta(cfg, {"Tc": tc}))
+    path = _write(args, cfg, "vfun.csv", {"Tc": tc},
+                  {"x": v.x, "v": v.values, "fit_residual": v.fit_residual})
     _say(args, f"wrote {path}")
     return 0
 
 
 def cmd_hc(args, cfg: RunConfig) -> int:
-    disc, opts = _disc(cfg), _opts(cfg)
-    tc = find_Tc(cfg.potential, disc.grid, opts)
+    disc, opts, tc = _stages(cfg)
     v = extract_v(disc, tc)
-    ts = hc_temperatures(_t_grid(args, cfg, tc), tc)
-    surface = sweep(ts, disc, opts, tc=tc)
+    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, opts, tc=tc)
     curve = build_hc_curve(surface, v, disc, opts)
     law = linear_law_check(curve)
-    path = _out_path(args, "hc.csv")
-    _write_csv(path, ["T", "hc", "dhc_dT"], [curve.t, curve.hc, curve.dhc_dT])
     summary = {
         "Tc": tc, "hc0": curve.hc0, "slope_at_Tc": curve.slope_at_tc,
         "fitted_linear_coefficient": law.fitted_coefficient,
@@ -218,7 +199,8 @@ def cmd_hc(args, cfg: RunConfig) -> int:
     if cfg.potential.is_constant:
         summary["coeff_over_hc0"] = law.coeff_over_hc0
         summary["coeff_over_hc0_minus_1.74"] = law.coeff_over_hc0 - 1.74
-    _write_kv(path + ".meta", _meta(cfg, summary))
+    path = _write(args, cfg, "hc.csv", summary,
+                  {"T": curve.t, "hc": curve.hc, "dhc_dT": curve.dhc_dT})
     _say(args, f"wrote {path} (hc0 = {_fmt(curve.hc0)}, "
                f"slope at Tc = {_fmt(curve.slope_at_tc)})")
     return 0
@@ -238,16 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "superconducting thermodynamics")
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol", type=tolerance, default=None,
-                   help="override tolerances.quad_tol; accepted for "
-                        "compatibility, changes no result")
     p.add_argument("--quiet", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     sg = sub.add_parser("simple-gap", help="constant-coupling envelope curve")
     sg.add_argument("--coupling", choices=["u1", "u2"], required=True)
     sg.add_argument("--t-points", type=temperature_count, default=None)
-    sg.add_argument("--csv", default=None, help="explicit CSV path")
     sg.set_defaults(fn=cmd_simple_gap)
 
     g = sub.add_parser("gap", help="solve the gap equation at one temperature")
@@ -259,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("thermo", cmd_thermo, "thermodynamic curve over a temperature grid"),
             ("hc", cmd_hc, "critical-field curve over a temperature grid")]:
         s = sub.add_parser(name, help=helptext)
-        s.add_argument("--t-min", type=temperature, default=None)
+        s.add_argument("--t-min", type=temperature, default=0.0)
         s.add_argument("--t-max", type=temperature, default=None)
         s.add_argument("--t-points", type=temperature_count, default=None)
         s.set_defaults(fn=fn)
@@ -285,11 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.tol is not None:
-            cfg.resolved["tolerances.quad_tol"] = args.tol
-            cfg.defaults_applied.pop("tolerances.quad_tol", None)
-        return args.fn(args, cfg)
+        return args.fn(args, load_config(args.config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

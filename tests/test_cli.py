@@ -118,7 +118,8 @@ def test_load_config_rejects_unparseable_numbers(tmp_path, line):
     ("tolerances.solver_tol = -1", ("tc",)),
     ("tolerances.t_tol = nan", ("tc",)),
     ("tolerances.t_tol = inf", ("tc",)),
-    ("", ("--tol", "0", "tc")),
+    # one ulp of Delta_2(0) at this config: below the floor of two
+    ("tolerances.solver_tol = 1.3877787807814457e-17", ("sweep",)),
     ("tolerances.solver_tol = 1.2e-17", ("sweep",)),
 ])
 def test_cli_rejects_bad_tolerances(tmp_path, line, args):
@@ -240,16 +241,16 @@ def test_cli_process_freezes_heap_after_config_error(tmp_path):
     assert cp.stderr.startswith("configuration error:")
 
 
-def test_cli_tol_override_reaches_sidecar(tmp_path):
+@pytest.mark.parametrize("args", [
+    ("--tol", "1e-9", "tc"),
+    ("simple-gap", "--coupling", "u1", "--csv", "x.csv"),
+])
+def test_cli_removed_flags_are_usage_errors(tmp_path, args):
+    # --tol changed no result and --out already places simple_gap.csv
     cfg = write(tmp_path / "c.cfg", FAST_CFG)
-    cp = run_cli("--config", cfg, "--out", str(tmp_path), "--quiet",
-                 "--tol", "3e-9", "simple-gap", "--coupling", "u1",
-                 "--t-points", "9")
-    assert cp.returncode == 0, cp.stderr
-    meta = dict(line.split(" = ") for line in
-                (tmp_path / "simple_gap.csv.meta").read_text().splitlines())
-    assert float(meta["config.tolerances.quad_tol"]) == 3e-9
-    assert "defaulted.tolerances.quad_tol" not in meta
+    cp = run_cli("--config", cfg, "--out", str(tmp_path), *args, timeout=60)
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
 
 
 def test_cli_universal_reports_difference(tmp_path):

@@ -276,3 +276,63 @@ def test_hc_zero_matches_mpmath(eps, u0):
                                 * mpmath.quad(integrand, [e0, d, om])))
     disc = Discretization(ConstantPotential(u0, p), build_grid(p, 129))
     assert hc_zero(solve_at_T(0.0, disc, OPTS), disc) == pytest.approx(ref, rel=1e-12)
+
+
+_XG, _WG = np.polynomial.legendre.leggauss(24)
+
+
+def fermi_integrals(a, b):
+    """int_a^b ln(1 + e^-s) ds and int_a^b s/(e^s + 1) ds, by 24-point Gauss
+    on 32 panels of [a, min(b, a + 64)]; both tails past a + 64 are below 1e-25."""
+    edges = np.linspace(a, min(b, a + 64.0), 33)
+    half = np.diff(edges)[:, None] / 2.0
+    s = (edges[:-1, None] + half * (1.0 + _XG)).ravel()
+    w = (half * _WG).ravel()
+    return float(w @ np.log1p(np.exp(-s))), float(w @ (s / (np.exp(s) + 1.0)))
+
+
+def shell_excitations(t, p):
+    """S(T) = 4 n0 T int_eps^omega ln(1 + e^(-xi/T)) d xi and dS/dT."""
+    i1, i2 = fermi_integrals(p.epsilon / t, p.hbar_omega_d / t)
+    return 4.0 * p.n0 * t * t * i1, 4.0 * p.n0 * t * (i1 + i2)
+
+
+def test_fermi_integrals_match_closed_form_and_mpmath():
+    # on [0, inf) both are eta(2) = pi^2/12
+    for value in fermi_integrals(0.0, math.inf):
+        assert value == pytest.approx(math.pi ** 2 / 12.0, rel=1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a, b in [(1e-6, 1400.0), (1.2, 560.0), (0.5, 3.0)]:
+            pts = [a, min(a + 1, b), min(a + 10, b), b]
+            ref = (mpmath.quad(lambda s: mpmath.log1p(mpmath.exp(-s)), pts),
+                   mpmath.quad(lambda s: s / (mpmath.exp(s) + 1), pts))
+            for value, r in zip(fermi_integrals(a, b), ref):
+                assert value == pytest.approx(float(r), rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-9])
+def test_hc_leaves_hc0_by_the_shell_excitations(eps):
+    # far below T_c the condensate changes only by O(e^(-Delta(0)/T)), so
+    # Psi(T) - Psi(0) = S(T) and dH_c/dT H_c = -4 pi S'(T) for every kernel
+    p = validate_params(PhysicalParams(eps, 1.0, 20.0, 1.0, 0.25, 0.35))
+    grid, opts = build_grid(p, 129), SolverOpts(tol=1.1e-16)
+    fn = np.linspace(p.epsilon, p.hbar_omega_d, 41)
+    x = np.linspace(p.epsilon, p.hbar_omega_d, 5)
+    table = 0.3 * (1.0 + 0.025 * (np.sin(np.add.outer(3.0 * x, 2.0 * x))
+                                  + np.sin(np.add.outer(2.0 * x, 3.0 * x))))
+    for kernel in (ConstantPotential(0.3, p),
+                   SeparablePotential(fn, np.sqrt(0.3 + 0.03 * np.sin(5.0 * fn)), p),
+                   TabulatedPotential(x, table, p)):
+        disc = Discretization(kernel, grid)
+        t_c = find_Tc(kernel, grid, opts)
+        surface = sweep(np.array([0.0, 0.02 * t_c, 0.05 * t_c]), disc, opts, tc=t_c)
+        curve = build_hc_curve(surface, extract_v(disc, t_c), disc, opts)
+        psi0 = psi(0.0, surface.slices[0], disc)
+        for i in (1, 2):
+            t = float(surface.t_grid[i])
+            s, ds = shell_excitations(t, p)
+            value = (psi(t, surface.slices[i], disc) - psi0) / s - 1.0
+            slope = curve.dhc_dT[i] * curve.hc[i] / (-4.0 * math.pi * ds) - 1.0
+            assert abs(value) <= 1e-10, (type(kernel).__name__, t / t_c, value)
+            assert abs(slope) <= 1e-10, (type(kernel).__name__, t / t_c, slope)
