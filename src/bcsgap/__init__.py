@@ -14,8 +14,8 @@ from .gap_solver import (ContractionReport, Discretization, EnergyGrid,
                          GapSlice, GapSurface, SolverOpts, build_grid,
                          contraction_diagnostics, du_dT_at_fixed_point,
                          find_Tc, solve_at_T, sweep)
-from .thermo import (ThermoCurve, VFunction, build_thermo_curve, cv_normal,
-                     extract_v, g_weight, omega_normal, psi, psi_derivative,
+from .thermo import (ThermoCurve, VFunction, build_thermo_curve, condensation,
+                     cv_normal, extract_v, g_weight, omega_normal, psi,
                      universal_constant)
 from .critical_field import (HcCurve, LinearLawReport, build_hc_curve, hc,
                              hc_slope, hc_zero, linear_law_check, slope_at_tc)
@@ -34,8 +34,8 @@ __all__ = [
     "ContractionReport", "SolverOpts",
     "build_grid", "contraction_diagnostics",
     "du_dT_at_fixed_point", "find_Tc", "solve_at_T", "sweep",
-    "ThermoCurve", "VFunction", "build_thermo_curve", "cv_normal",
-    "extract_v", "g_weight", "omega_normal", "psi", "psi_derivative",
+    "ThermoCurve", "VFunction", "build_thermo_curve", "condensation",
+    "cv_normal", "extract_v", "g_weight", "omega_normal", "psi",
     "universal_constant",
     "HcCurve", "LinearLawReport", "build_hc_curve", "hc", "hc_slope",
     "hc_zero", "linear_law_check", "slope_at_tc",

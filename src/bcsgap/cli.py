@@ -2,9 +2,9 @@
 
 Every run is deterministic for a fixed configuration; CSV numbers are written
 with 17 significant digits so files round-trip doubles and diff cleanly.
-Each CSV gets a .meta sidecar echoing the resolved configuration together
-with the derived temperatures and the solver tolerance, so every number in a
-summary is recomputable from the sidecar alone.
+Each CSV gets a .meta sidecar echoing the resolved configuration, kernel
+arrays included, together with the derived temperatures and the solver
+tolerance, so every number in a summary is recomputable from the sidecar alone.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -36,6 +36,8 @@ atexit.register(gc.freeze)
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, np.ndarray):
+        return ", ".join(map(_fmt, x.tolist()))
     return str(x)
 
 
@@ -117,7 +119,7 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     disc, opts, tc = _stages(cfg)
     ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
-    slices = sweep(ts, disc, opts, tc=tc).slices
+    slices = sweep(ts, disc, opts).slices
     n = disc.grid.count
     path = _write(args, cfg, "sweep.csv", {"Tc": tc}, {
         "T": np.repeat(ts, n), "x": np.tile(disc.grid.nodes, ts.size),
@@ -152,8 +154,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
     disc, opts, tc = _stages(cfg)
-    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)),
-                    disc, opts, tc=tc)
+    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, opts)
     curve = build_thermo_curve(surface, disc, cfg.dos)
     path = _write(args, cfg, "thermo.csv", {"Tc": tc}, {
         "T": curve.t, "omega_n": curve.omega_n, "psi": curve.psi,
@@ -188,7 +189,7 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 def cmd_hc(args, cfg: RunConfig) -> int:
     disc, opts, tc = _stages(cfg)
     v = extract_v(disc, tc)
-    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, opts, tc=tc)
+    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, opts)
     curve = build_hc_curve(surface, v, disc, opts)
     law = linear_law_check(curve)
     summary = {

@@ -7,6 +7,7 @@ metadata can echo the fully resolved configuration.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,23 +31,18 @@ MIN_T_POINTS = 8
 MAX_T_POINTS = 100_000
 
 
-class RunConfig:
+class RunConfig(NamedTuple):
     """A loaded configuration: the model a request solves, and the resolved
     values and applied defaults that every output's record echoes."""
-
-    def __init__(self, params: PhysicalParams, potential: PotentialSpec,
-                 dos: DosModel, energy_points: int, t_points: int,
-                 solver_tol: float | None, t_tol: float | None,
-                 resolved: dict, defaults_applied: dict):
-        self.params = params
-        self.potential = potential
-        self.dos = dos
-        self.energy_points = energy_points
-        self.t_points = t_points
-        self.solver_tol = solver_tol
-        self.t_tol = t_tol
-        self.resolved = resolved
-        self.defaults_applied = defaults_applied
+    params: PhysicalParams
+    potential: PotentialSpec
+    dos: DosModel
+    energy_points: int
+    t_points: int
+    solver_tol: float | None
+    t_tol: float | None
+    resolved: dict
+    defaults_applied: dict
 
 
 def _parse_items(text: str, origin: str) -> dict:
@@ -64,16 +60,6 @@ def _parse_items(text: str, origin: str) -> dict:
             raise ConfigError(f"{origin}:{lineno}: duplicate key '{key}'")
         items[key] = value
     return items
-
-
-def _get(items, defaults_applied, key, default, cast):
-    if key in items:
-        try:
-            return cast(items[key])
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for '{key}': {items[key]}") from exc
-    defaults_applied[key] = default
-    return default
 
 
 def _floats(text: str) -> np.ndarray:
@@ -123,36 +109,53 @@ def load_config(path: str | None) -> RunConfig:
         origin = path
         items = _parse_items(text, origin)
 
+    resolved: dict = {}
     defaults: dict = {}
-    om = _get(items, defaults, "hbar_omega_d", 1.0, float)
-    eps = _get(items, defaults, "epsilon", 1e-3 * om, float)
-    mu = _get(items, defaults, "mu", 20.0 * om, float)
-    n0 = _get(items, defaults, "n0", 1.0, float)
-    u1 = _get(items, defaults, "u1", 0.25, float)
-    u2 = _get(items, defaults, "u2", 0.35, float)
+
+    def get(key, default, cast=float):
+        """items[key] cast, or default: echoed in resolved (None as 'auto'),
+        and recorded as applied when it is a default other than None."""
+        if key in items:
+            try:
+                value = cast(items[key])
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for '{key}': {items[key]}") from exc
+        else:
+            value = default
+            if default is not None:
+                defaults[key] = default
+        resolved[key] = "auto" if value is None else value
+        return value
+
+    om = get("hbar_omega_d", 1.0)
+    eps = get("epsilon", 1e-3 * om)
+    mu = get("mu", 20.0 * om)
+    n0 = get("n0", 1.0)
+    u1 = get("u1", 0.25)
+    u2 = get("u2", 0.35)
     params = validate_params(PhysicalParams(eps, om, mu, n0, u1, u2))
 
-    ptype = _get(items, defaults, "potential.type", "constant", str)
+    ptype = get("potential.type", "constant", str)
     if ptype == "constant":
-        u0 = _get(items, defaults, "potential.u0", 0.3, float)
+        u0 = get("potential.u0", 0.3)
         if not (u1 < u0 < u2):
             raise ConfigError("potential.u0 must lie strictly between u1 and u2")
         potential: PotentialSpec = ConstantPotential(u0, params)
     elif ptype == "separable":
         if "potential.f_values" not in items:
             raise ConfigError("separable potential needs potential.f_values")
-        fv = _get(items, defaults, "potential.f_values", None, _floats)
+        fv = get("potential.f_values", None, _floats)
         if "potential.f_nodes" in items:
-            fn = _get(items, defaults, "potential.f_nodes", None, _floats)
+            fn = get("potential.f_nodes", None, _floats)
         else:
-            fn = np.linspace(eps, om, fv.size)
+            fn = resolved["potential.f_nodes"] = np.linspace(eps, om, fv.size)
             defaults["potential.f_nodes"] = "uniform on [epsilon, hbar_omega_d]"
         potential = SeparablePotential(fn, fv, params)
     elif ptype == "tabulated":
         if "potential.nodes" not in items or "potential.values" not in items:
             raise ConfigError("tabulated potential needs potential.nodes and potential.values")
-        nodes = _get(items, defaults, "potential.nodes", None, _floats)
-        vals = _get(items, defaults, "potential.values", None, _floats)
+        nodes = get("potential.nodes", None, _floats)
+        vals = get("potential.values", None, _floats)
         n = nodes.size
         if vals.size != n * n:
             raise ConfigError("potential.values must hold n*n entries (row major)")
@@ -160,7 +163,7 @@ def load_config(path: str | None) -> RunConfig:
     else:
         raise ConfigError(f"unknown potential.type '{ptype}'")
 
-    dtype = _get(items, defaults, "dos.type", "sqrt_band", str)
+    dtype = get("dos.type", "sqrt_band", str)
     if dtype == "flat_shell":
         dos: DosModel = FlatShellDos(params)
     elif dtype == "sqrt_band":
@@ -168,18 +171,18 @@ def load_config(path: str | None) -> RunConfig:
     else:
         raise ConfigError(f"unknown dos.type '{dtype}'")
 
-    energy_points = _get(items, defaults, "grids.energy_points", 129, int)
-    t_points = _get(items, defaults, "grids.t_points", 33, int)
+    energy_points = get("grids.energy_points", 129, int)
+    t_points = get("grids.t_points", 33, int)
     if energy_points < 16:
         raise ConfigError("grids.energy_points must be at least 16")
     if not MIN_T_POINTS <= t_points <= MAX_T_POINTS:
         raise ConfigError(f"grids.t_points must be at least {MIN_T_POINTS} "
                           f"and at most {MAX_T_POINTS}")
 
-    quad_tol = _get(items, defaults, "tolerances.quad_tol", 1e-10, tolerance)
+    get("tolerances.quad_tol", 1e-10, tolerance)
     # absent and 'auto' both resolve to the solver default, echoed as 'auto'
-    solver_tol = _get(items, {}, "tolerances.solver_tol", None, _auto_tolerance)
-    t_tol = _get(items, {}, "tolerances.t_tol", None, _auto_tolerance)
+    solver_tol = get("tolerances.solver_tol", None, _auto_tolerance)
+    t_tol = get("tolerances.t_tol", None, _auto_tolerance)
     # no residual of gap values of size Delta_2(0) gets below one ulp of it,
     # and for some kernels the map's roundoff holds it above one ulp
     if solver_tol is not None:
@@ -190,16 +193,5 @@ def load_config(path: str | None) -> RunConfig:
         if solver_tol < floor:
             raise ConfigError(f"tolerances.solver_tol {solver_tol!r} is below "
                               f"two ulp of Delta_2(0), {floor!r}")
-
-    resolved = {
-        "hbar_omega_d": om, "epsilon": eps, "mu": mu, "n0": n0,
-        "u1": u1, "u2": u2, "potential.type": ptype, "dos.type": dtype,
-        "grids.energy_points": energy_points, "grids.t_points": t_points,
-        "tolerances.quad_tol": quad_tol,
-        "tolerances.solver_tol": solver_tol if solver_tol is not None else "auto",
-        "tolerances.t_tol": t_tol if t_tol is not None else "auto",
-    }
-    if ptype == "constant":
-        resolved["potential.u0"] = u0
     return RunConfig(params, potential, dos, energy_points, t_points,
                      solver_tol, t_tol, resolved, defaults)

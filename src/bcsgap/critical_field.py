@@ -33,10 +33,10 @@ def hc_slope(psi_value: float, dpsi_value: float) -> float:
     return -4.0 * math.pi * dpsi_value / math.sqrt(-8.0 * math.pi * psi_value)
 
 
-def slope_at_tc(v: VFunction, tc: float) -> float:
+def slope_at_tc(v: VFunction) -> float:
     """Closed-form (negative) slope of H_c at the transition,
-    -sqrt(4 pi Delta C_V / T_c), with Delta C_V = v.jump."""
-    return -math.sqrt(4.0 * math.pi * v.jump / tc)
+    -sqrt(4 pi Delta C_V / T_c), with Delta C_V = v.jump and T_c = v.tc."""
+    return -math.sqrt(4.0 * math.pi * v.jump / v.tc)
 
 
 def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
@@ -77,13 +77,10 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
     """Field and slope over a solved surface.
 
     Zero slices give the field 0, with the closed-form transition slope at
-    and below T_c and slope 0 above it; the slope at T = 0 is 0.
+    and below T_c = v.tc and slope 0 above it; the slope at T = 0 is 0.
     """
-    tc = surface.tc
-    if tc is None:
-        raise NumericalError("surface carries no transition temperature")
-    slope_tc = slope_at_tc(v, tc)
-
+    tc = v.tc
+    slope_tc = slope_at_tc(v)
     ts = surface.t_grid
     ps, dps, _ = _psi_curve(surface, disc)
     h = np.empty(ts.size)

@@ -93,7 +93,6 @@ class GapSlice(NamedTuple):
 class GapSurface(NamedTuple):
     t_grid: np.ndarray
     slices: list
-    tc: float | None
 
 
 class ContractionReport(NamedTuple):
@@ -274,8 +273,10 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
     iterates from a supersolution stay supersolutions (see module
     docstring), so every step is a Newton step; the iteration stops once the
     residual and the step are inside the tolerance, or the residual is
-    inside it and stops falling.  Exhausting NEWTON_BUDGET raises
-    NumericalError carrying the last iterate.
+    inside it and stops falling, or a pivot of the Newton system is not
+    positive (only where rho - 1 is at roundoff) with the residual inside
+    it.  Exhausting NEWTON_BUDGET raises NumericalError carrying the last
+    iterate.
     """
     if t < 0 or 0 < t < sys.float_info.min:
         raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
@@ -311,7 +312,12 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         # where a Newton step would only amplify the noise
         if res_prev <= res <= tol:
             return result(c, it, res)
-        step = disc.solve_linearized(dphi_du, c - g)
+        try:
+            step = disc.solve_linearized(dphi_du, c - g)
+        except NumericalError:  # no step can be formed, a few doubles below T_c
+            if res <= tol:
+                return result(c, it, res)
+            raise
         c = c - step
         if res <= tol and float(np.abs(disc.F @ step).max()) <= tol:
             return result(c, it, res)
@@ -322,8 +328,7 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         best=disc.F @ c, residual=res_prev)
 
 
-def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
-          tc: float | None = None) -> GapSurface:
+def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None) -> GapSurface:
     """Per-temperature solves in ascending order, each started from the last
     nonzero slice u below it, a supersolution there: A_T' u <= A_T u for T' > T."""
     params = disc.kernel.params
@@ -338,7 +343,7 @@ def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None,
     for t in ts:
         slices.append(solve_at_T(float(t), disc, opts, start))
         start = slices[-1].coef if slices[-1].sup() > 0.0 else start
-    return GapSurface(ts, slices, tc)
+    return GapSurface(ts, slices)
 
 
 def find_Tc(kernel: PotentialSpec, grid: EnergyGrid,
@@ -402,10 +407,8 @@ def contraction_diagnostics(disc: Discretization, tau: float,
     j, i = np.unravel_index(np.argmax(total), total.shape)
     alpha, argmax = float(total[j, i]), (float(ts[j]), float(disc.grid.nodes[i]))
 
-    return ContractionReport(a=a, b=float(b), gamma=float(gamma), alpha=alpha,
-                             tau=tau, gamma_feasible=gamma_feasible,
-                             alpha_feasible=alpha < 1.0, tau0=t0, tau3=t3,
-                             tc=tc, alpha_argmax=argmax)
+    return ContractionReport(a, float(b), float(gamma), alpha, tau, gamma_feasible,
+                             alpha < 1.0, t0, t3, tc, argmax)
 
 
 def _alpha_coefs(disc: Discretization, tau: float, ts) -> np.ndarray:

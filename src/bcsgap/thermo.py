@@ -11,7 +11,8 @@ The limit function v(x) = -d(u^2)/dT at T_c, which carries the jump in the
 specific heat and the slope of H_c at T_c, is read off the bifurcation of the
 iterated map at T_c: an r-by-r reduction on its Perron vectors, with no solve,
 which also gives the jump on v at the solver's own quadrature nodes.
-Below T_c, C_V^S is the entropy form on each slice, from its u and du/dT.
+Below T_c, condensation reads Psi, dPsi/dT and the entropy form of C_V^S off
+each slice in one pass, from its u and du/dT.
 """
 from __future__ import annotations
 
@@ -75,25 +76,29 @@ def psi(t: float, u: GapSlice, disc: Discretization) -> float:
     return disc.kernel.params.n0 * float(qw @ integrand)
 
 
-def psi_derivative(t: float, u: GapSlice, dc: np.ndarray,
-                   disc: Discretization) -> float:
-    """Analytic temperature derivative of psi along the solution; T > 0.
+def condensation(t: float, u: GapSlice, disc: Discretization):
+    """Psi, dPsi/dT and the shell part of C_V^S on a nonzero slice at T = t > 0.
 
-    u enters as Ft @ u.coef and du/dT as Ft @ dc, with dc the dc/dT of
+    dPsi/dT is the analytic derivative along the solution and C_V^S's shell
+    part the entropy form, (n0/T) * integral of sech^2(E/2T) (E^2/T - u du/dT);
+    u enters as Ft @ u.coef and du/dT as Ft @ dc/dT, dc/dT from
     du_dT_at_fixed_point.
     """
     if t <= 0.0:
-        raise ValueError("psi_derivative needs T > 0; the T = 0 value is 0")
-    qn, qw = disc.qn, disc.qw
+        raise ValueError("condensation needs T > 0; at T = 0 take psi")
+    qn, qw, n0 = disc.qn, disc.qw, disc.kernel.params.n0
     uu = disc.Ft @ u.coef
+    du = disc.Ft @ du_dT_at_fixed_point(u, disc)
     phi, dphi_du, dphi_dT = _gap_terms(disc, uu, t)
-    e = np.sqrt(qn * qn + uu * uu)
+    e2 = qn * qn + uu * uu
+    e = np.sqrt(e2)
     b = np.exp(-qn / t)
     dlog = np.log1p(b * np.expm1(-uu * uu / (e + qn) / t) / (1.0 + b))
     # d/dT of the psi integrand along u(T); its two f(E/T) du/dT terms cancel
-    integrand = ((disc.Ft @ dc) * (uu * dphi_du - phi) + uu * dphi_dT
-                 - 4.0 * (dlog + (e * fermi(e / t) - qn * fermi(qn / t)) / t))
-    return disc.kernel.params.n0 * float(qw @ integrand)
+    dpsi = (du * (uu * dphi_du - phi) + uu * dphi_dT
+            - 4.0 * (dlog + (e * fermi(e / t) - qn * fermi(qn / t)) / t))
+    shell = sech2(e / (2.0 * t)) * (e2 / t - uu * du)
+    return psi(t, u, disc), n0 * float(qw @ dpsi), n0 * float(qw @ shell) / t
 
 
 # Fermi-window rules: 7-point Gauss panels at most T wide (every pole of the
@@ -132,18 +137,6 @@ def _below_shell(reach: float, width: float, params: PhysicalParams):
     return x, 2.0 * (top - d) * wd
 
 
-def _windows(t: float, dos: DosModel):
-    """Fermi-window rules at T = t > 0: the shell [eps, om], and the off-shell
-    windows below -om and above om joined into one rule, with the DOS on it."""
-    eps, om = dos.params.epsilon, dos.params.hbar_omega_d
-    reach = _WINDOW * t
-    xs, ws = _panels(eps, min(om - eps, reach), t)
-    xb, wb = _below_shell(reach, t, dos.params)
-    xa, wa = _panels(om, reach, t)
-    xo = np.concatenate([xb, xa])
-    return xs, ws, xo, np.concatenate([wb, wa]), eval_dos(dos, xo)
-
-
 def _ground_energy(dos: DosModel) -> float:
     """Omega_N at T = 0, from its two temperature-free terms, both exact:
     -2 n0 (integral of x over the shell) in closed form, and
@@ -154,27 +147,29 @@ def _ground_energy(dos: DosModel) -> float:
     return -n0 * (om - eps) * (om + eps) + 2.0 * float(wb @ (xb * eval_dos(dos, xb)))
 
 
-def _omega_thermal(t: float, dos: DosModel, rules) -> float:
-    """Omega_N(T) - Omega_N(0) at T = t > 0 on the _windows rules."""
-    xs, ws, xo, wo, n_off = rules
-    shell = 2.0 * dos.params.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
-    off = float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t))))
-    return -2.0 * t * (shell + off)
-
-
-def _cv_parts(t: float, dos: DosModel, rules):
-    """(C_V^N(T), its off-shell part) at T = t > 0 on the _windows rules."""
-    xs, ws, xo, wo, n_off = rules
-    cv_shell = 2.0 * dos.params.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
+def _normal_thermal(t: float, dos: DosModel):
+    """(Omega_N(T) - Omega_N(0), C_V^N(T), its off-shell part) at T = t > 0, on
+    Fermi-window rules for the shell [eps, om] and for the off-shell windows
+    below -om and above om, joined into one rule with the DOS on it."""
+    p = dos.params
+    reach = _WINDOW * t
+    xs, ws = _panels(p.epsilon, min(p.hbar_omega_d - p.epsilon, reach), t)
+    xb, wb = _below_shell(reach, t, p)
+    xa, wa = _panels(p.hbar_omega_d, reach, t)
+    xo, wo = np.concatenate([xb, xa]), np.concatenate([wb, wa])
+    n_off = eval_dos(dos, xo)
+    omega = (2.0 * p.n0 * float(ws @ np.log1p(np.exp(-xs / t)))
+             + float(wo @ (n_off * np.log1p(np.exp(-np.abs(xo) / t)))))
+    cv_shell = 2.0 * p.n0 * float(ws @ (xs * xs * sech2(xs / (2.0 * t))))
     cv_off = float(wo @ (n_off * xo * xo * sech2(xo / (2.0 * t))))
     # divided by T twice, not by T^2, which underflows below T ~ 1e-154
-    return 0.5 * (cv_shell + cv_off) / t / t, 0.5 * cv_off / t / t
+    return -2.0 * t * omega, 0.5 * (cv_shell + cv_off) / t / t, 0.5 * cv_off / t / t
 
 
 def omega_normal(t: float, dos: DosModel) -> float:
     """Normal-state thermodynamic potential (five-integral form)."""
     energy = _ground_energy(dos)
-    return energy if t == 0.0 else energy + _omega_thermal(t, dos, _windows(t, dos))
+    return energy if t == 0.0 else energy + _normal_thermal(t, dos)[0]
 
 
 def cv_normal(t: float, dos: DosModel) -> float:
@@ -182,11 +177,11 @@ def cv_normal(t: float, dos: DosModel) -> float:
     closed-form second derivative (no numerical differentiation)."""
     if t < 0.0:
         raise ValueError("cv_normal needs T >= 0")
-    return 0.0 if t == 0.0 else _cv_parts(t, dos, _windows(t, dos))[0]
+    return 0.0 if t == 0.0 else _normal_thermal(t, dos)[1]
 
 
 class VFunction(NamedTuple):
-    """v(x) = -d(u^2)/dT at T_c on the grid nodes x, and the jump it carries.
+    """v(x) = -d(u^2)/dT at T = tc on the grid nodes x, and the jump it carries.
 
     jump is Delta C_V = -n0/(16 T_c^2) (integral of v^2 g(xi/2T_c)) > 0.
     fit_residual is |m| * v, m the relative mismatch between jump, quadratic
@@ -197,6 +192,7 @@ class VFunction(NamedTuple):
     values: np.ndarray
     fit_residual: np.ndarray
     jump: float
+    tc: float
 
 
 def extract_v(disc: Discretization, tc: float) -> VFunction:
@@ -226,7 +222,7 @@ def extract_v(disc: Discretization, tc: float) -> VFunction:
     vq = a2 * ut * ut
     jump = -params.n0 / (16.0 * tc * tc) * float(qw @ (vq * vq * g))
     m = jump / (params.n0 / (2.0 * tc) * float(qw @ (vq * s2))) - 1.0
-    return VFunction(disc.grid.nodes, values, abs(m) * values, jump)
+    return VFunction(disc.grid.nodes, values, abs(m) * values, jump, tc)
 
 
 def universal_constant() -> float:
@@ -254,48 +250,24 @@ class ThermoCurve(NamedTuple):
     cv_super: np.ndarray
 
 
-def _cv_shell(t: float, u: GapSlice, dc: np.ndarray,
-              disc: Discretization) -> float:
-    """Shell part of C_V^S at T = t > 0, the entropy form on the slice:
-    (n0/T) * integral of sech^2(E/2T) (E^2/T - u du/dT), du/dT = Ft @ dc."""
-    uu = disc.Ft @ u.coef
-    e2 = disc.qn * disc.qn + uu * uu
-    w = sech2(np.sqrt(e2) / (2.0 * t)) * (e2 / t - uu * (disc.Ft @ dc))
-    return disc.kernel.params.n0 * float(disc.qw @ w) / t
-
-
 def _psi_curve(surface, disc: Discretization):
-    """Psi, dPsi/dT and dc/dT on every slice of a surface: all three 0 (dc/dT
-    None) on zero slices (T >= T_c), and the last two at T = 0."""
-    n = len(surface.slices)
-    ps, dps, dcs = np.zeros(n), np.zeros(n), [None] * n
-    for i, sl in enumerate(surface.slices):
-        t = float(surface.t_grid[i])
-        if sl.sup() == 0.0:
-            continue
-        ps[i] = psi(t, sl, disc)
-        if t > 0.0:
-            dcs[i] = du_dT_at_fixed_point(sl, disc)
-            dps[i] = psi_derivative(t, sl, dcs[i], disc)
-    return ps, dps, dcs
+    """condensation on every slice of a surface: all 0 on zero slices
+    (T >= T_c), and Psi alone at T = 0."""
+    return np.array([(0.0,) * 3 if sl.sup() == 0.0
+                     else condensation(t, sl, disc) if t > 0.0
+                     else (psi(0.0, sl, disc), 0.0, 0.0)
+                     for t, sl in zip(surface.t_grid.tolist(), surface.slices)]).T
 
 
 def build_thermo_curve(surface, disc: Discretization,
                        dos: DosModel) -> ThermoCurve:
     """Per-temperature thermodynamic records over a solved surface, all
     analytic: cv_super is cv_normal wherever Psi vanishes identically, and
-    below T_c the off-shell part of cv_normal plus _cv_shell.
+    below T_c the off-shell part of cv_normal plus condensation's shell part.
     """
     ts = surface.t_grid
-
-    def normal(t):  # one rule set per temperature, freed after use
-        rules = _windows(t, dos)
-        return _omega_thermal(t, dos, rules), *_cv_parts(t, dos, rules)
-
-    d_omega, cvn, cv_off = np.array([normal(float(t)) if t > 0.0 else (0.0,) * 3
-                                     for t in ts]).T
-    om_n = _ground_energy(dos) + d_omega
-    ps, dps, dcs = _psi_curve(surface, disc)
-    shell = np.array([0.0 if dc is None else _cv_shell(float(t), sl, dc, disc)
-                      for t, sl, dc in zip(ts, surface.slices, dcs)])
-    return ThermoCurve(ts, om_n, ps, dps, cvn, np.where(ps == 0.0, cvn, cv_off + shell))
+    d_omega, cvn, cv_off = np.array([_normal_thermal(t, dos) if t > 0.0 else (0.0,) * 3
+                                     for t in ts.tolist()]).T
+    ps, dps, shell = _psi_curve(surface, disc)
+    return ThermoCurve(ts, _ground_energy(dos) + d_omega, ps, dps, cvn,
+                       np.where(ps == 0.0, cvn, cv_off + shell))

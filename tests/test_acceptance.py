@@ -14,15 +14,14 @@ import pytest
 from bcsgap import (ConstantPotential, Discretization, FlatShellDos,
                     PhysicalParams, SeparablePotential, SolverOpts,
                     SqrtBandDos, TabulatedPotential, build_grid,
-                    build_hc_curve,
+                    build_hc_curve, condensation,
                     contraction_diagnostics, cv_normal, delta_at_zero,
                     extract_v, find_Tc, gap_rhs, hc, hc_zero,
-                    integrate, linear_law_check, psi, psi_derivative,
+                    integrate, linear_law_check, psi,
                     slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, solve_z0, sweep,
                     universal_constant, validate_params)
 from bcsgap.critical_field import hc_temperatures
-from bcsgap.gap_solver import du_dT_at_fixed_point
 from bcsgap.special import sech2
 from bcsgap.thermo import g_weight
 
@@ -264,8 +263,7 @@ def test_criterion_08_thermodynamic_endpoints(weak):
 
     t = 0.6 * tc
     sl = solve_at_T(t, disc, opts)
-    du = du_dT_at_fixed_point(sl, disc)
-    ana = psi_derivative(t, sl, du, disc)
+    ana = condensation(t, sl, disc)[1]
 
     def fd_err(h):
         pp = psi(t + h, solve_at_T(t + h, disc, opts), disc)
@@ -285,7 +283,7 @@ def hc_bundle(weak):
     disc, opts, tc, v = (weak[key] for key in ("disc", "opts", "tc", "v"))
     ts = hc_temperatures(np.linspace(0.0, tc, 25), tc)
     t0 = time.time()
-    surf = sweep(ts, disc, opts, tc=tc)
+    surf = sweep(ts, disc, opts)
     curve = build_hc_curve(surf, v, disc, opts)
     return dict(curve=curve, law=linear_law_check(curve),
                 runtime=time.time() - t0)
@@ -339,7 +337,7 @@ def test_criterion_09d_flat_at_zero_temperature(weak):
 
 def test_criterion_09e_slope_identity(weak):
     p, tc, v = weak["p"], weak["tc"], weak["v"]
-    s = slope_at_tc(v, tc)
+    s = slope_at_tc(v)
     pdd = -v.jump / tc
     dev = abs(s * s / (4.0 * math.pi * abs(pdd)) - 1.0)
     ok = dev <= 1e-8

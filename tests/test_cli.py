@@ -308,6 +308,23 @@ def test_cli_gap_and_tc(tmp_path):
     assert 0.02 < tc < 0.065
 
 
+@pytest.mark.parametrize("text", [
+    "potential.type = separable\n"
+    "potential.f_values = 0.52, 0.547, 0.57, 0.55, 0.53\ngrids.energy_points = 33\n",
+    TABULATED_CFG], ids=["separable", "tabulated"])
+def test_cli_record_reproduces_the_gap_it_echoes(tmp_path, text):
+    # the config.* lines of a record, stripped of "config.", are a config file
+    # that solves the same kernel: gap.csv comes back byte for byte
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["--config", write(tmp_path / "c.cfg", text), "--out", str(first),
+                     "--quiet", "gap", "--t", "0.02"]) == 0
+    echoed = [line[len("config."):] for line in
+              (first / "gap.csv.meta").read_text().splitlines() if line.startswith("config.")]
+    assert cli.main(["--config", write(tmp_path / "echo.cfg", "\n".join(echoed) + "\n"),
+                     "--out", str(again), "--quiet", "gap", "--t", "0.02"]) == 0
+    assert (again / "gap.csv").read_bytes() == (first / "gap.csv").read_bytes()
+
+
 def test_cli_temperatures_below_underflow_are_zero_temperature(tmp_path):
     # T^2 and 1/T^2 * sech^2 once underflowed: a ZeroDivisionError traceback
     # from thermo, and RuntimeWarnings from gap

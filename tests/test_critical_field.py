@@ -6,11 +6,10 @@ import pytest
 from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     PhysicalParams, SeparablePotential, SolverOpts,
                     TabulatedPotential, build_grid, build_hc_curve,
-                    extract_v, find_Tc, hc, hc_slope, hc_zero,
-                    linear_law_check, psi, psi_derivative, slope_at_tc,
+                    condensation, extract_v, find_Tc, hc, hc_slope, hc_zero,
+                    linear_law_check, psi, slope_at_tc,
                     solve_at_T, sweep, validate_params)
 from bcsgap.critical_field import HcCurve, hc_temperatures
-from bcsgap.gap_solver import du_dT_at_fixed_point
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
@@ -31,7 +30,7 @@ def v(tc):
 
 @pytest.fixture(scope="module")
 def curve(tc, v):
-    surface = sweep(hc_temperatures(np.linspace(0.0, tc, 25), tc), DISC, OPTS, tc=tc)
+    surface = sweep(hc_temperatures(np.linspace(0.0, tc, 25), tc), DISC, OPTS)
     return build_hc_curve(surface, v, DISC, OPTS)
 
 
@@ -59,21 +58,20 @@ def test_hc_slope_sign_and_scaling():
 
 
 def test_slope_at_tc_negative_and_consistent(tc, v):
-    s = slope_at_tc(v, tc)
+    s = slope_at_tc(v)
     assert s < 0.0
     pdd = -v.jump / tc
     assert s * s == pytest.approx(4.0 * math.pi * abs(pdd), rel=1e-8)
 
 
 def test_hc_slope_approaches_transition_slope(tc, v):
-    s_tc = slope_at_tc(v, tc)
+    s_tc = slope_at_tc(v)
     errs = []
     for k in (4, 6, 8):
         t = tc * (1.0 - 2.0 ** -k)
         sl = solve_at_T(t, DISC, OPTS)
         p = psi(t, sl, DISC)
-        du = du_dT_at_fixed_point(sl, DISC)
-        dp = psi_derivative(t, sl, du, DISC)
+        dp = condensation(t, sl, DISC)[1]
         errs.append(abs(hc_slope(p, dp) - s_tc))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01 * abs(s_tc)
@@ -202,7 +200,7 @@ def test_linear_law_intercept_matches_polyfit_on_hc_curves(kernel):
     disc = Discretization(kernel, GRID)
     t_c = find_Tc(kernel, GRID, OPTS)
     ts = hc_temperatures(np.linspace(0.0, t_c, 25), t_c)
-    curve = build_hc_curve(sweep(ts, disc, OPTS, tc=t_c), extract_v(disc, t_c),
+    curve = build_hc_curve(sweep(ts, disc, OPTS), extract_v(disc, t_c),
                            disc, OPTS)
     assert linear_law_check(curve).fitted_coefficient == pytest.approx(
         polyfit_intercept(curve), rel=1e-12, abs=0)
@@ -243,7 +241,7 @@ def test_hc_curve_is_the_solved_field_through_tc(tc, v):
     # and the slope of that field tends to the closed-form transition slope
     ks = np.arange(3, 25)
     ts = np.unique(np.concatenate([np.linspace(0.0, tc, 25), tc * (1.0 - 2.0 ** -ks)]))
-    surface = sweep(ts, DISC, OPTS, tc=tc)
+    surface = sweep(ts, DISC, OPTS)
     curve = build_hc_curve(surface, v, DISC, OPTS)
     live = [i for i, sl in enumerate(surface.slices) if sl.sup() > 0.0]
     assert [curve.t[i] for i in live] == list(ts[ts < tc])
@@ -251,7 +249,7 @@ def test_hc_curve_is_the_solved_field_through_tc(tc, v):
         t = float(ts[i])
         assert curve.hc[i] == pytest.approx(hc(psi(t, surface.slices[i], DISC)),
                                             rel=1e-12)
-    s_tc = slope_at_tc(v, tc)
+    s_tc = slope_at_tc(v)
     for k in ks[ks >= 11]:
         i = int(np.flatnonzero(ts == tc * (1.0 - 2.0 ** -float(k)))[0])
         assert abs(curve.dhc_dT[i] / s_tc - 1.0) <= 1e-3
@@ -326,7 +324,7 @@ def test_hc_leaves_hc0_by_the_shell_excitations(eps):
                    TabulatedPotential(x, table, p)):
         disc = Discretization(kernel, grid)
         t_c = find_Tc(kernel, grid, opts)
-        surface = sweep(np.array([0.0, 0.02 * t_c, 0.05 * t_c]), disc, opts, tc=t_c)
+        surface = sweep(np.array([0.0, 0.02 * t_c, 0.05 * t_c]), disc, opts)
         curve = build_hc_curve(surface, extract_v(disc, t_c), disc, opts)
         psi0 = psi(0.0, surface.slices[0], disc)
         for i in (1, 2):

@@ -10,7 +10,7 @@ from bcsgap import (ConfigError, ConstantPotential, EnergyGrid,
                     contraction_diagnostics, cv_normal, delta_at_zero,
                     du_dT_at_fixed_point, extract_v,
                     find_Tc, gap_rhs, hc_slope, integrate, psi,
-                    psi_derivative, slope_at_tc, solve_at_T,
+                    condensation, slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, sweep, validate_params)
 import bcsgap.gap_solver as gap_solver
 from bcsgap.critical_field import hc_temperatures
@@ -309,6 +309,25 @@ def test_newton_stops_at_the_roundoff_floor(kernel, n):
         assert sl.iterations <= NEWTON_BUDGET // 2
 
 
+def test_solve_at_a_roundoff_pivot_returns_its_converged_iterate():
+    # at the 9th double below T_c, rho(core(dphi/du)) computes as 1 + 2^-52
+    # by Newton step 44, so I - core(dphi/du) has a pivot <= 0 and no step can
+    # be formed; the residual there is already inside tol, and the slice is
+    # returned, no larger than the slice one double further down
+    grid = build_grid(P, 65)
+    kernel = tabulated_kernel(P)
+    disc = Discretization(kernel, grid)
+    tc = find_Tc(kernel, grid, SolverOpts())
+    t = tc
+    for _ in range(9):
+        t = float(np.nextafter(t, 0.0))
+    below = solve_at_T(float(np.nextafter(t, 0.0)), disc, OPTS)
+    for opts in (OPTS, SolverOpts(tol=1e-14 * solve_simple_gap(0.0, P.u2, P))):
+        sl = solve_at_T(t, disc, opts)
+        assert sl.final_residual <= opts.resolved_tol(solve_simple_gap(0.0, P.u2, P))
+        assert 0.0 < sl.sup() <= below.sup()
+
+
 def roadmap_separable_kernel(params):
     fn = np.linspace(params.epsilon, params.hbar_omega_d, 41)
     return SeparablePotential(fn, np.sqrt(0.3 + 0.03 * np.sin(5.0 * fn)), params)
@@ -395,7 +414,7 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, GRID, OPTS)
     v = extract_v(disc, tc)
-    s_tc = slope_at_tc(v, tc)
+    s_tc = slope_at_tc(v)
     opts = SolverOpts(tol=1e-15 * solve_simple_gap(0.0, P.u2, P))
     v_err, slope_err = [], []
     for k in (12, 16, 20, 24):
@@ -404,7 +423,7 @@ def test_solved_branch_tends_to_the_bifurcation(kernel):
         dc = du_dT_at_fixed_point(sl, disc)
         du = disc.F @ dc
         v_err.append(np.max(np.abs(-2.0 * sl.values * du / v.values - 1.0)))
-        dh = hc_slope(psi(t, sl, disc), psi_derivative(t, sl, dc, disc))
+        dh = hc_slope(psi(t, sl, disc), condensation(t, sl, disc)[1])
         slope_err.append(abs(dh / s_tc - 1.0))
     assert 12.0 <= v_err[0] / v_err[1] <= 20.0
     assert 12.0 <= v_err[1] / v_err[2] <= 20.0
@@ -441,7 +460,7 @@ def test_psi_derivative_is_the_derivative_along_converged_solves(kernel, n, frac
     opts = SolverOpts(tol=1e-15 * delta_at_zero(P.u2, P))
     t = frac * find_Tc(kernel, grid, OPTS)
     sl = solve_at_T(t, disc, opts)
-    ana = psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
+    ana = condensation(t, sl, disc)[1]
 
     def central(h):
         return (psi(t + h, solve_at_T(t + h, disc, opts), disc)
@@ -483,7 +502,7 @@ def test_iteration_budget_error_carries_state():
 def test_sweep_matches_simple_gap_curve():
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, DISC, OPTS, tc=solve_tau(0.3, P))
+    surf = sweep(ts, DISC, OPTS)
     for t, sl in zip(ts, surf.slices):
         oracle = solve_simple_gap(float(t), 0.3, P)
         assert np.max(np.abs(sl.values - oracle)) < 1e-8
@@ -556,7 +575,7 @@ def test_sweep_warm_start_matches_cold_solves_in_fewer_steps(kernel, grid_kind):
     tc = find_Tc(kernel, GRID, OPTS)
     ts = (np.linspace(0.0, solve_tau(P.u2, P), 33) if grid_kind == "linspace"
           else hc_temperatures(np.linspace(0.0, tc, 33), tc))
-    warm = sweep(ts, disc, OPTS, tc=tc).slices
+    warm = sweep(ts, disc, OPTS).slices
     cold = [solve_at_T(float(t), disc, OPTS) for t in ts]
     assert sum(sl.sup() > 0.0 for sl in cold) >= 16
     for w, c in zip(warm, cold):
@@ -738,7 +757,7 @@ def test_newton_steps_only_from_supersolutions(kernel, monkeypatch):
         for frac in (0.0, 0.5, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20):
             assert counted(frac * tc, disc, opts).sup() > 0.0
     ts = hc_temperatures(np.linspace(0.0, tc, 33), tc)
-    assert len(sweep(ts, disc, OPTS, tc=tc).slices) == len(ts)
+    assert len(sweep(ts, disc, OPTS).slices) == len(ts)
     assert len(residuals) == 8 + len(ts)
 
 

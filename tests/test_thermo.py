@@ -6,11 +6,10 @@ import pytest
 from bcsgap import (ConstantPotential, Discretization, FlatShellDos, GapSlice,
                     PhysicalParams, SeparablePotential, SolverOpts,
                     SqrtBandDos, TabulatedPotential, build_grid,
-                    build_thermo_curve, cv_normal, extract_v,
+                    build_thermo_curve, condensation, cv_normal, extract_v,
                     find_Tc, g_weight, integrate, integrate_tail,
-                    omega_normal, psi, psi_derivative, solve_at_T, solve_tau,
+                    omega_normal, psi, solve_at_T, solve_tau,
                     sweep, universal_constant, validate_params)
-from bcsgap.gap_solver import du_dT_at_fixed_point
 from bcsgap.interpolate import MonotoneCubic
 from bcsgap.model import eval_dos
 from bcsgap.special import sech2
@@ -181,22 +180,28 @@ def test_psi_negative_below_tc(tc_const):
         assert psi(t, sl, DISC) < 0.0
 
 
-def test_psi_derivative_zero_slice_cancels():
-    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0, coef=np.zeros(1))
-    assert psi_derivative(0.02, z, np.zeros(1), DISC) == 0.0
+def test_thermo_curve_psi_and_slope_vanish_on_zero_slices(tc_const):
+    # on a surface that crosses T_c, Psi and dPsi/dT are exactly 0 on every
+    # zero slice, and C_V^S is C_V^N there
+    curve = build_thermo_curve(sweep(np.linspace(0.5 * tc_const, solve_tau(P.u2, P), 9),
+                                     DISC, OPTS), DISC, DOS)
+    zero = curve.t >= tc_const
+    assert 0 < zero.sum() < zero.size
+    assert np.all(curve.psi[zero] == 0.0) and np.all(curve.dpsi_dT[zero] == 0.0)
+    assert np.all(curve.cv_super[zero] == curve.cv_normal[zero])
+    assert np.all(curve.psi[~zero] < 0.0)
 
 
 def test_psi_derivative_rejects_zero_temperature():
     sl = solve_at_T(0.01, DISC, OPTS)
     with pytest.raises(ValueError):
-        psi_derivative(0.0, sl, np.zeros(1), DISC)
+        condensation(0.0, sl, DISC)
 
 
 def test_psi_derivative_matches_central_differences(tc_const):
     t = 0.6 * tc_const
     sl = solve_at_T(t, DISC, OPTS)
-    du = du_dT_at_fixed_point(sl, DISC)
-    ana = psi_derivative(t, sl, du, DISC)
+    ana = condensation(t, sl, DISC)[1]
     h = 1e-4 * tc_const
     pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
     pm = psi(t - h, solve_at_T(t - h, DISC, OPTS), DISC)
@@ -207,8 +212,7 @@ def test_psi_derivative_matches_central_differences(tc_const):
 def test_psi_derivative_second_order_step_convergence(tc_const):
     t = 0.6 * tc_const
     sl = solve_at_T(t, DISC, OPTS)
-    du = du_dT_at_fixed_point(sl, DISC)
-    ana = psi_derivative(t, sl, du, DISC)
+    ana = condensation(t, sl, DISC)[1]
 
     def fd_err(h):
         pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
@@ -225,8 +229,7 @@ def test_psi_derivative_vanishes_toward_tc(tc_const):
     for k in (5, 7, 9):
         t = tc_const * (1.0 - 2.0 ** -k)
         sl = solve_at_T(t, DISC, OPTS)
-        du = du_dT_at_fixed_point(sl, DISC)
-        vals.append(abs(psi_derivative(t, sl, du, DISC)))
+        vals.append(abs(condensation(t, sl, DISC)[1]))
     assert vals[2] < vals[1] < vals[0]
     # the derivative falls linearly in T_c - T: a factor 16 over two rungs
     assert vals[2] < 0.1 * vals[0]
@@ -293,7 +296,7 @@ def test_cv_ratio_wide_shell_band():
 def test_thermo_curve_assembly(tc_const):
     tau2 = solve_tau(P.u2, P)
     ts = np.linspace(0.0, tau2, 17)
-    surf = sweep(ts, DISC, OPTS, tc=tc_const)
+    surf = sweep(ts, DISC, OPTS)
     curve = build_thermo_curve(surf, DISC, DOS)
     below = ts < tc_const
     assert np.all(curve.psi[below] < 0.0)
@@ -332,7 +335,7 @@ def test_cv_super_is_cv_normal_where_psi_vanishes(kernel):
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, GRID, OPTS)
     ts = np.linspace(0.0, solve_tau(P.u2, P), 33)
-    curve = build_thermo_curve(sweep(ts, disc, OPTS, tc=tc), disc, DOS)
+    curve = build_thermo_curve(sweep(ts, disc, OPTS), disc, DOS)
     zero = curve.psi == 0.0
     assert np.array_equal(zero, ts >= tc)
     assert np.array_equal(curve.cv_super[zero], curve.cv_normal[zero])
@@ -367,7 +370,7 @@ def default_curve(request):
     disc = Discretization(kernel, GRID)
     tc = find_Tc(kernel, GRID, OPTS)
     ts = np.linspace(0.0, solve_tau(P.u2, P), 33)
-    return request.param, disc, tc, build_thermo_curve(sweep(ts, disc, OPTS, tc=tc),
+    return request.param, disc, tc, build_thermo_curve(sweep(ts, disc, OPTS),
                                                        disc, DOS)
 
 
@@ -380,7 +383,7 @@ def test_cv_super_matches_differenced_potential(default_curve):
 
     def dpsi(t):
         sl = solve_at_T(t, disc, tight)
-        return psi_derivative(t, sl, du_dT_at_fixed_point(sl, disc), disc)
+        return condensation(t, sl, disc)[1]
 
     rows = []
     for t, cvs in zip(curve.t, curve.cv_super):
@@ -411,7 +414,7 @@ def test_cv_super_meets_the_jump_at_tc(default_curve):
     # vanishes linearly in T_c - T
     _, disc, tc, _ = default_curve
     ts = tc * (1.0 - 2.0 ** -np.array([16.0, 20.0, 24.0]))
-    curve = build_thermo_curve(sweep(ts, disc, OPTS, tc=tc), disc, DOS)
+    curve = build_thermo_curve(sweep(ts, disc, OPTS), disc, DOS)
     jump = extract_v(disc, tc).jump
     dev = np.abs((curve.cv_super - curve.cv_normal) / jump - 1.0)
     assert dev[1] <= 0.1 * dev[0]
