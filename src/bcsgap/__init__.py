@@ -18,7 +18,7 @@ from .thermo import (ThermoCurve, VFunction, build_thermo_curve, condensation,
                      cv_normal, extract_v, g_weight, omega_normal, psi,
                      universal_constant)
 from .critical_field import (HcCurve, LinearLawReport, build_hc_curve, hc,
-                             hc_slope, hc_zero, linear_law_check, slope_at_tc)
+                             hc_slope, linear_law_check, slope_at_tc)
 from .config import RunConfig, load_config
 
 __all__ = [
@@ -38,6 +38,6 @@ __all__ = [
     "cv_normal", "extract_v", "g_weight", "omega_normal", "psi",
     "universal_constant",
     "HcCurve", "LinearLawReport", "build_hc_curve", "hc", "hc_slope",
-    "hc_zero", "linear_law_check", "slope_at_tc",
+    "linear_law_check", "slope_at_tc",
     "RunConfig", "load_config",
 ]

@@ -22,12 +22,12 @@ from . import __version__
 from .config import RunConfig, load_config, temperature, temperature_count
 from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
 from .errors import ConfigError, NumericalError
-from .gap_solver import (Discretization, SolverOpts, build_grid,
-                         contraction_diagnostics, find_Tc, solve_at_T, sweep)
+from .gap_solver import (Discretization, build_grid, contraction_diagnostics,
+                         find_Tc, solve_at_T, sweep)
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
-from .thermo import (JUMP_RATIO_WIDE_SHELL, build_thermo_curve, cv_normal,
-                     extract_v, universal_constant)
+from .thermo import (HC_SLOPE_RATIO_WIDE_SHELL, JUMP_RATIO_WIDE_SHELL,
+                     build_thermo_curve, cv_normal, extract_v, universal_constant)
 
 # at exit, spare the interpreter's final collections the import-time heap
 atexit.register(gc.freeze)
@@ -41,19 +41,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _opts(cfg: RunConfig) -> SolverOpts:
-    return SolverOpts(tol=cfg.solver_tol, t_tol=cfg.t_tol)
-
-
 def _disc(cfg: RunConfig) -> Discretization:
     """The request's one discretization of the configured kernel."""
     return Discretization(cfg.potential, build_grid(cfg.params, cfg.energy_points))
 
 
-def _stages(cfg: RunConfig) -> tuple[Discretization, SolverOpts, float]:
-    """The discretization, solver options and T_c of a request."""
-    disc, opts = _disc(cfg), _opts(cfg)
-    return disc, opts, find_Tc(cfg.potential, disc.grid, opts)
+def _stages(cfg: RunConfig) -> tuple[Discretization, float]:
+    """The discretization and T_c of a request."""
+    disc = _disc(cfg)
+    return disc, find_Tc(cfg.potential, disc.grid, cfg.opts)
 
 
 def _write(args, cfg: RunConfig, name: str, extra: dict,
@@ -81,7 +77,7 @@ def _write(args, cfg: RunConfig, name: str, extra: dict,
         **{f"defaulted.{k}": v for k, v in sorted(cfg.defaults_applied.items())},
         "derived.tau1": solve_tau(p.u1, p), "derived.tau2": solve_tau(p.u2, p),
         "derived.tau0": solve_tau0(p), "derived.tau3": tau3(p),
-        "derived.solver_tol": _opts(cfg).resolved_tol(delta_at_zero(p.u2, p)),
+        "derived.solver_tol": cfg.opts.resolved_tol(delta_at_zero(p.u2, p)),
         **extra}
     with open(record, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"{k} = {_fmt(v)}\n" for k, v in data.items())
@@ -108,7 +104,7 @@ def cmd_simple_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
-    sl = solve_at_T(args.t, _disc(cfg), _opts(cfg))
+    sl = solve_at_T(args.t, _disc(cfg), cfg.opts)
     path = _write(args, cfg, "gap.csv", {
         "T": sl.T, "iterations": sl.iterations, "final_residual": sl.final_residual},
         {"x": sl.x, "u": sl.values})
@@ -117,10 +113,10 @@ def cmd_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    disc, opts, tc = _stages(cfg)
+    disc, tc = _stages(cfg)
     ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
-    slices = sweep(ts, disc, opts).slices
-    n = disc.grid.count
+    slices = sweep(ts, disc, cfg.opts).slices
+    n = disc.grid.nodes.size
     path = _write(args, cfg, "sweep.csv", {"Tc": tc}, {
         "T": np.repeat(ts, n), "x": np.tile(disc.grid.nodes, ts.size),
         "u": np.concatenate([sl.values for sl in slices]),
@@ -131,20 +127,20 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_tc(args, cfg: RunConfig) -> int:
-    tc = find_Tc(cfg.potential, build_grid(cfg.params, cfg.energy_points), _opts(cfg))
+    tc = find_Tc(cfg.potential, build_grid(cfg.params, cfg.energy_points), cfg.opts)
     _write(args, cfg, "tc.meta", {"Tc": tc})
     _say(args, _fmt(tc))
     return 0
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
-    disc, _, tc = _stages(cfg)
+    disc, tc = _stages(cfg)
     rep = contraction_diagnostics(disc, args.tau, tc)
     path = _write(args, cfg, "diagnose.txt", {
-        "tau": rep.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
+        "tau": args.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
         "alpha": rep.alpha, "gamma_feasible": rep.gamma_feasible,
         "alpha_feasible": rep.alpha_feasible, "tau0": rep.tau0,
-        "tau3": rep.tau3, "Tc": rep.tc,
+        "tau3": rep.tau3, "Tc": tc,
         "alpha_argmax_T": rep.alpha_argmax[0],
         "alpha_argmax_x": rep.alpha_argmax[1]})
     _say(args, f"wrote {path} (alpha = {_fmt(rep.alpha)}, "
@@ -153,8 +149,8 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
-    disc, opts, tc = _stages(cfg)
-    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, opts)
+    disc, tc = _stages(cfg)
+    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, cfg.opts)
     curve = build_thermo_curve(surface, disc, cfg.dos)
     path = _write(args, cfg, "thermo.csv", {"Tc": tc}, {
         "T": curve.t, "omega_n": curve.omega_n, "psi": curve.psi,
@@ -165,7 +161,7 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 
 
 def cmd_ratio(args, cfg: RunConfig) -> int:
-    disc, _, tc = _stages(cfg)
+    disc, tc = _stages(cfg)
     dcv = extract_v(disc, tc).jump
     cvn = cv_normal(tc, cfg.dos)
     ratio, uni = dcv / cvn, universal_constant()
@@ -178,7 +174,7 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 
 
 def cmd_vfun(args, cfg: RunConfig) -> int:
-    disc, _, tc = _stages(cfg)
+    disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
     path = _write(args, cfg, "vfun.csv", {"Tc": tc},
                   {"x": v.x, "v": v.values, "fit_residual": v.fit_residual})
@@ -187,21 +183,18 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_hc(args, cfg: RunConfig) -> int:
-    disc, opts, tc = _stages(cfg)
+    disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
-    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, opts)
-    curve = build_hc_curve(surface, v, disc, opts)
+    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, cfg.opts)
+    curve = build_hc_curve(surface, v, disc, cfg.opts)
     law = linear_law_check(curve)
-    summary = {
+    path = _write(args, cfg, "hc.csv", {
         "Tc": tc, "hc0": curve.hc0, "slope_at_Tc": curve.slope_at_tc,
         "fitted_linear_coefficient": law.fitted_coefficient,
         "predicted_linear_coefficient": law.predicted_coefficient,
-    }
-    if cfg.potential.is_constant:
-        summary["coeff_over_hc0"] = law.coeff_over_hc0
-        summary["coeff_over_hc0_minus_1.74"] = law.coeff_over_hc0 - 1.74
-    path = _write(args, cfg, "hc.csv", summary,
-                  {"T": curve.t, "hc": curve.hc, "dhc_dT": curve.dhc_dT})
+        "coeff_over_hc0": law.coeff_over_hc0,
+        "coeff_over_hc0_minus_limit": law.coeff_over_hc0 - HC_SLOPE_RATIO_WIDE_SHELL},
+        {"T": curve.t, "hc": curve.hc, "dhc_dT": curve.dhc_dT})
     _say(args, f"wrote {path} (hc0 = {_fmt(curve.hc0)}, "
                f"slope at Tc = {_fmt(curve.slope_at_tc)})")
     return 0
@@ -250,14 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--tau", type=float, required=True)
     d.set_defaults(fn=cmd_diagnose)
 
-    r = sub.add_parser("ratio", help="specific-heat jump ratio pipeline")
-    r.set_defaults(fn=cmd_ratio)
-
-    vf = sub.add_parser("vfun", help="near-transition limit function v(x)")
-    vf.set_defaults(fn=cmd_vfun)
-
-    u = sub.add_parser("universal", help="wide-shell universal jump ratio")
-    u.set_defaults(fn=cmd_universal)
+    for name, fn, helptext in [
+            ("ratio", cmd_ratio, "specific-heat jump ratio pipeline"),
+            ("vfun", cmd_vfun, "near-transition limit function v(x)"),
+            ("universal", cmd_universal, "wide-shell universal jump ratio")]:
+        sub.add_parser(name, help=helptext).set_defaults(fn=fn)
     return p
 
 

@@ -12,21 +12,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
+from .gap_solver import SolverOpts
 from .model import (ConstantPotential, DosModel, FlatShellDos, PhysicalParams,
                     PotentialSpec, SeparablePotential, SqrtBandDos,
                     TabulatedPotential, validate_params)
 from .simple_gap import delta_at_zero
 
-_SCALAR_KEYS = {
+KNOWN_KEYS = {
     "epsilon", "hbar_omega_d", "mu", "n0", "u1", "u2",
-    "potential.u0",
-    "grids.energy_points", "grids.t_points",
+    "potential.type", "potential.u0",
+    "potential.f_nodes", "potential.f_values",
+    "potential.nodes", "potential.values",
+    "dos.type", "grids.energy_points", "grids.t_points",
     "tolerances.quad_tol", "tolerances.solver_tol", "tolerances.t_tol",
 }
-_STRING_KEYS = {"potential.type", "dos.type"}
-_LIST_KEYS = {"potential.f_nodes", "potential.f_values",
-              "potential.nodes", "potential.values"}
-KNOWN_KEYS = _SCALAR_KEYS | _STRING_KEYS | _LIST_KEYS
 MIN_T_POINTS = 8
 MAX_T_POINTS = 100_000
 
@@ -39,8 +38,7 @@ class RunConfig(NamedTuple):
     dos: DosModel
     energy_points: int
     t_points: int
-    solver_tol: float | None
-    t_tol: float | None
+    opts: SolverOpts
     resolved: dict
     defaults_applied: dict
 
@@ -99,15 +97,13 @@ def load_config(path: str | None) -> RunConfig:
     """Load and validate a configuration file; None gives pure defaults."""
     if path is None:
         items = {}
-        origin = "<defaults>"
     else:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        origin = path
-        items = _parse_items(text, origin)
+        items = _parse_items(text, path)
 
     resolved: dict = {}
     defaults: dict = {}
@@ -137,10 +133,7 @@ def load_config(path: str | None) -> RunConfig:
 
     ptype = get("potential.type", "constant", str)
     if ptype == "constant":
-        u0 = get("potential.u0", 0.3)
-        if not (u1 < u0 < u2):
-            raise ConfigError("potential.u0 must lie strictly between u1 and u2")
-        potential: PotentialSpec = ConstantPotential(u0, params)
+        potential: PotentialSpec = ConstantPotential(get("potential.u0", 0.3), params)
     elif ptype == "separable":
         if "potential.f_values" not in items:
             raise ConfigError("separable potential needs potential.f_values")
@@ -194,4 +187,4 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"tolerances.solver_tol {solver_tol!r} is below "
                               f"two ulp of Delta_2(0), {floor!r}")
     return RunConfig(params, potential, dos, energy_points, t_points,
-                     solver_tol, t_tol, resolved, defaults)
+                     SolverOpts(solver_tol, t_tol), resolved, defaults)

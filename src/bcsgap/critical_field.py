@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .gap_solver import Discretization, GapSlice, SolverOpts, solve_at_T
+from .gap_solver import Discretization, SolverOpts, solve_at_T
 from .thermo import VFunction, _psi_curve, psi
 
 
@@ -37,11 +37,6 @@ def slope_at_tc(v: VFunction) -> float:
     """Closed-form (negative) slope of H_c at the transition,
     -sqrt(4 pi Delta C_V / T_c), with Delta C_V = v.jump and T_c = v.tc."""
     return -math.sqrt(4.0 * math.pi * v.jump / v.tc)
-
-
-def hc_zero(u0_slice: GapSlice, disc: Discretization) -> float:
-    """Zero-temperature field from the converged T = 0 slice."""
-    return hc(psi(0.0, u0_slice, disc))
 
 
 class HcCurve(NamedTuple):
@@ -92,7 +87,7 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
         else:
             dh[i] = 0.0 if t == 0.0 else hc_slope(ps[i], dps[i])
 
-    h0 = h[0] if ts[0] == 0.0 else hc_zero(solve_at_T(0.0, disc, opts), disc)
+    h0 = h[0] if ts[0] == 0.0 else hc(psi(0.0, solve_at_T(0.0, disc, opts), disc))
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 
@@ -104,8 +99,9 @@ def linear_law_check(curve: HcCurve) -> LinearLawReport:
     value at d = 0 is the fitted linear coefficient.  It expands in p_0 = 1,
     p_1 = d - a_0 and p_2 = (d - a_1) p_1 - b_1, orthogonal on the points
     (Forsythe, J. SIAM 5 (1957) 74): dot products only, with no LAPACK and no
-    numpy.polynomial.  For a constant kernel the ratio of that coefficient to
-    hc(0) lands near the textbook 1.74.
+    numpy.polynomial.  For every kernel type the ratio of that coefficient to
+    hc(0) tends to HC_SLOPE_RATIO_WIDE_SHELL in the weak-coupling wide-shell
+    limit.
     """
     tc = curve.tc
     rel = 1.0 - curve.t / tc

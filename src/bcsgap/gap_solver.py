@@ -57,10 +57,6 @@ class EnergyGrid:
         n.setflags(write=False)
         self.nodes = n
 
-    @property
-    def count(self) -> int:
-        return self.nodes.size
-
 
 def build_grid(params: PhysicalParams, count: int) -> EnergyGrid:
     """Geometric spacing near the cutoff, uniform across the rest of the shell."""
@@ -106,12 +102,10 @@ class ContractionReport(NamedTuple):
     b: float
     gamma: float
     alpha: float
-    tau: float
     gamma_feasible: bool
     alpha_feasible: bool
     tau0: float
     tau3: float
-    tc: float
     alpha_argmax: tuple  # (T, x)
 
 
@@ -278,7 +272,7 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
     it.  Exhausting NEWTON_BUDGET raises NumericalError carrying the last
     iterate.
     """
-    if t < 0 or 0 < t < sys.float_info.min:
+    if not (t == 0.0 or t >= sys.float_info.min):
         raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     opts = opts or SolverOpts()
     params = disc.kernel.params
@@ -407,8 +401,8 @@ def contraction_diagnostics(disc: Discretization, tau: float,
     j, i = np.unravel_index(np.argmax(total), total.shape)
     alpha, argmax = float(total[j, i]), (float(ts[j]), float(disc.grid.nodes[i]))
 
-    return ContractionReport(a, float(b), float(gamma), alpha, tau, gamma_feasible,
-                             alpha < 1.0, t0, t3, tc, argmax)
+    return ContractionReport(a, float(b), float(gamma), alpha, gamma_feasible,
+                             alpha < 1.0, t0, t3, argmax)
 
 
 def _alpha_coefs(disc: Discretization, tau: float, ts) -> np.ndarray:

@@ -62,6 +62,8 @@ class PotentialSpec:
     tabulated ones; it is the kernel's one source of values.  Construction
     checks that the kernel range lies strictly inside (u1, u2).
     """
+    is_constant = False
+    is_separable = False
 
     def __init__(self, params: PhysicalParams):
         self.params = params
@@ -78,16 +80,10 @@ class PotentialSpec:
         """(F, G) with U(x_i, xi_j) = (F G^T)_ij for 1-d arrays x and xi."""
         raise NotImplementedError
 
-    @property
-    def is_constant(self) -> bool:
-        return False
-
-    @property
-    def is_separable(self) -> bool:
-        return False
-
 
 class ConstantPotential(PotentialSpec):
+    is_constant = True
+
     def __init__(self, u0: float, params: PhysicalParams):
         super().__init__(params)
         self.u0 = float(u0)
@@ -96,10 +92,6 @@ class ConstantPotential(PotentialSpec):
     def factors(self, x, xi):
         return np.full((x.size, 1), self.u0), np.ones((xi.size, 1))
 
-    @property
-    def is_constant(self) -> bool:
-        return True
-
 
 class SeparablePotential(PotentialSpec):
     """U(x, xi) = f(x) f(xi) with f > 0 piecewise linear between its samples.
@@ -107,6 +99,7 @@ class SeparablePotential(PotentialSpec):
     Linear interpolation keeps every kernel value inside
     [min(f)^2, max(f)^2], so the (u1, u2) bounds are checked once here.
     """
+    is_separable = True
 
     def __init__(self, f_nodes, f_values, params: PhysicalParams):
         super().__init__(params)
@@ -124,10 +117,6 @@ class SeparablePotential(PotentialSpec):
     def factors(self, x, xi):
         return (np.interp(x, self.f_nodes, self.f_values)[:, None],
                 np.interp(xi, self.f_nodes, self.f_values)[:, None])
-
-    @property
-    def is_separable(self) -> bool:
-        return True
 
 
 class TabulatedPotential(PotentialSpec):

@@ -78,7 +78,7 @@ def solve_tau(u_const: float, params: PhysicalParams) -> float:
 
 def solve_simple_gap(t: float, u_const: float, params: PhysicalParams) -> float:
     """Gap Delta(T) for a constant coupling; exactly 0 at and above tau."""
-    if t < 0 or 0 < t < sys.float_info.min:
+    if not (t == 0.0 or t >= sys.float_info.min):
         raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     tau = solve_tau(u_const, params)
     if t >= tau:
@@ -111,7 +111,6 @@ def tau3(params: PhysicalParams) -> float:
 
 
 class SimpleGapCurve(NamedTuple):
-    coupling: float
     tau: float
     t: np.ndarray
     delta: np.ndarray
@@ -129,4 +128,4 @@ def build_simple_gap_curve(u_const: float, params: PhysicalParams,
         d = solve_simple_gap(float(t), u_const, params)
         deltas[i] = d
         resid[i] = 0.0 if d == 0.0 else abs(gap_rhs(u_const, float(t), d, params) - 1.0)
-    return SimpleGapCurve(u_const, tau, ts, deltas, resid)
+    return SimpleGapCurve(tau, ts, deltas, resid)

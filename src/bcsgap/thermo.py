@@ -30,6 +30,7 @@ from .special import fermi, sech2
 
 ZETA3 = 1.2020569031595943
 JUMP_RATIO_WIDE_SHELL = 12.0 / (7.0 * ZETA3)
+HC_SLOPE_RATIO_WIDE_SHELL = 1.7366609468270189  # sqrt(8 e^(2 gamma) / (7 zeta(3)))
 
 
 def g_weight(eta):

@@ -16,7 +16,7 @@ from bcsgap import (ConstantPotential, Discretization, FlatShellDos,
                     SqrtBandDos, TabulatedPotential, build_grid,
                     build_hc_curve, condensation,
                     contraction_diagnostics, cv_normal, delta_at_zero,
-                    extract_v, find_Tc, gap_rhs, hc, hc_zero,
+                    extract_v, find_Tc, gap_rhs, hc,
                     integrate, linear_law_check, psi,
                     slope_at_tc, solve_at_T,
                     solve_simple_gap, solve_tau, solve_z0, sweep,
@@ -316,7 +316,7 @@ def test_criterion_09d_flat_at_zero_temperature(weak):
     p, disc, opts = (weak[key] for key in ("p", "disc", "opts"))
     from bcsgap.simple_gap import tau3 as tau3_fn
     t3 = tau3_fn(p)
-    h0 = hc_zero(solve_at_T(0.0, disc, opts), disc)
+    h0 = hc(psi(0.0, solve_at_T(0.0, disc, opts), disc))
 
     def hc_at(t):
         sl = solve_at_T(t, disc, opts)

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcsgap import ConfigError, Discretization, cli, load_config
+from bcsgap import ConfigError, Discretization, SolverOpts, cli, load_config
 import bcsgap.gap_solver as gap_solver
 import bcsgap.thermo as thermo
 from bcsgap.interpolate import MonotoneCubic
-from bcsgap.thermo import JUMP_RATIO_WIDE_SHELL
+from bcsgap.thermo import HC_SLOPE_RATIO_WIDE_SHELL, JUMP_RATIO_WIDE_SHELL
 
 
 def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
@@ -34,6 +34,11 @@ TABULATED_CFG = (
     "potential.type = tabulated\n"
     "potential.nodes = 0.001, 0.5, 1.0\n"
     "potential.values = 0.28,0.29,0.30, 0.29,0.31,0.32, 0.30,0.32,0.33\n"
+    "grids.energy_points = 33\ngrids.t_points = 9\n"
+)
+SEPARABLE_CFG = (
+    "potential.type = separable\n"
+    "potential.f_values = 0.52, 0.547, 0.57, 0.55, 0.53\n"
     "grids.energy_points = 33\ngrids.t_points = 9\n"
 )
 
@@ -90,9 +95,20 @@ def test_load_config_auto_tolerances_are_defaults(tmp_path):
     cfg = load_config(write(tmp_path / "c.cfg",
                             "tolerances.solver_tol = auto\n"
                             "tolerances.t_tol = auto\n"))
-    assert cfg.solver_tol is None and cfg.t_tol is None
+    assert cfg.opts.tol is None and cfg.opts.t_tol is None
     assert cfg.resolved["tolerances.solver_tol"] == "auto"
     assert cfg.resolved["tolerances.t_tol"] == "auto"
+
+
+def test_numeric_tolerances_reach_solver_and_record(tmp_path):
+    cfg = write(tmp_path / "c.cfg", FAST_CFG + "tolerances.solver_tol = 3e-12\n"
+                "tolerances.t_tol = 5e-10\n")
+    assert load_config(cfg).opts == SolverOpts(3e-12, 5e-10)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet",
+                     "gap", "--t", "0.02"]) == 0
+    meta = (tmp_path / "gap.csv.meta").read_text().splitlines()
+    vals = dict(line.split(" = ") for line in meta)
+    assert float(vals["derived.solver_tol"]) == 3e-12
 
 
 @pytest.mark.parametrize("line", [
@@ -391,6 +407,17 @@ def test_cli_vfun_and_hc(tmp_path):
     assert "coeff_over_hc0" in meta
 
 
+@pytest.mark.parametrize("text", [SEPARABLE_CFG, TABULATED_CFG],
+                         ids=["separable", "tabulated"])
+def test_cli_hc_records_slope_ratio_for_every_kernel(tmp_path, text):
+    assert cli.main(["--config", write(tmp_path / "c.cfg", text), "--out",
+                     str(tmp_path), "--quiet", "hc"]) == 0
+    meta = (tmp_path / "hc.csv.meta").read_text().splitlines()
+    vals = dict(line.split(" = ") for line in meta)
+    assert float(vals["coeff_over_hc0_minus_limit"]) == pytest.approx(
+        float(vals["coeff_over_hc0"]) - HC_SLOPE_RATIO_WIDE_SHELL, abs=1e-15)
+
+
 def test_cli_hc_rows_are_distinct_temperatures(tmp_path):
     # T_c(1 - 2^-3) = 21/24 T_c of the user grid up to a rounding error: the
     # ladder point once became a second row one ulp away from the grid point
@@ -468,7 +495,7 @@ def test_cli_builds_one_discretization_per_request(tmp_path, monkeypatch,
     init = Discretization.__init__
 
     def counted(self, kernel, grid):
-        builds.append(grid.count)
+        builds.append(grid.nodes.size)
         init(self, kernel, grid)
 
     monkeypatch.setattr(Discretization, "__init__", counted)

@@ -59,5 +59,5 @@ def test_load_config_ends_in_run_config_or_config_error(tmp_path_factory, items)
     x = np.linspace(lo, hi, 5)
     assert np.all(np.isfinite(eval_kernel(cfg.potential, x[:, None], x[None, :])))
     assert 0.0 < cfg.resolved["tolerances.quad_tol"] < math.inf
-    for tol in (cfg.solver_tol, cfg.t_tol):
+    for tol in (cfg.opts.tol, cfg.opts.t_tol):
         assert tol is None or 0.0 < tol < math.inf

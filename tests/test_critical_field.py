@@ -6,10 +6,11 @@ import pytest
 from bcsgap import (ConstantPotential, Discretization, GapSlice, NumericalError,
                     PhysicalParams, SeparablePotential, SolverOpts,
                     TabulatedPotential, build_grid, build_hc_curve,
-                    condensation, extract_v, find_Tc, hc, hc_slope, hc_zero,
+                    condensation, extract_v, find_Tc, hc, hc_slope,
                     linear_law_check, psi, slope_at_tc,
                     solve_at_T, sweep, validate_params)
 from bcsgap.critical_field import HcCurve, hc_temperatures
+from bcsgap.thermo import HC_SLOPE_RATIO_WIDE_SHELL
 
 P = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.25, 0.35))
 K = ConstantPotential(0.3, P)
@@ -77,14 +78,10 @@ def test_hc_slope_approaches_transition_slope(tc, v):
     assert errs[2] < 0.01 * abs(s_tc)
 
 
-def test_hc_zero_matches_psi_route(tc):
-    sl0 = solve_at_T(0.0, DISC, OPTS)
-    direct = hc_zero(sl0, DISC)
-    via_psi = hc(psi(0.0, sl0, DISC))
-    assert direct == pytest.approx(via_psi, rel=1e-10)
-    zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.count), 0, 0.0,
+def test_zero_slice_has_zero_field_at_zero_temperature():
+    zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.nodes.size), 0, 0.0,
                     coef=np.zeros(1))
-    assert hc_zero(zero, DISC) == 0.0
+    assert hc(psi(0.0, zero, DISC)) == 0.0
 
 
 def test_hc_zero_small_gap_taylor_pointwise():
@@ -120,7 +117,7 @@ def test_curve_flat_at_zero_temperature(tc, v):
     # flattening, below them both differences sit at the quadrature floor
     t3 = 0.5 * 0.00846557824340508
     sl0 = solve_at_T(0.0, DISC, OPTS)
-    h0 = hc_zero(sl0, DISC)
+    h0 = hc(psi(0.0, sl0, DISC))
 
     def hc_at(t):
         sl = solve_at_T(t, DISC, OPTS)
@@ -149,6 +146,30 @@ def test_analytic_slope_matches_differences(tc, curve):
             fd = (hc_at(t + h) - hc_at(t - h)) / (2.0 * h)
             errs.append(abs(fd - curve.dhc_dT[curve.t == t][0]))
         assert errs[1] < 0.5 * errs[0] or errs[1] < 1e-8
+
+
+@pytest.mark.parametrize("kind,ref", [
+    ("constant", 4.34e-6), ("separable", -1.40e-5), ("tabulated", -3.03e-6)])
+def test_slope_ratio_tends_to_wide_shell_limit(kind, ref):
+    # criterion 02b's kernels: flat shell, u1 = 0.8 u0, u2 = 1.25 u0 at
+    # (epsilon, u0) = (1e-9, 0.1); the measured deviation, pinned within 2x
+    u0 = 0.1
+    p = validate_params(PhysicalParams(1e-9, 1.0, 20.0, 1.0, 0.8 * u0, 1.25 * u0))
+    fn = np.linspace(p.epsilon, p.hbar_omega_d, 41)
+    x = np.linspace(p.epsilon, p.hbar_omega_d, 5)
+    table = u0 * (1.0 + 0.025 * (np.sin(np.add.outer(3.0 * x, 2.0 * x))
+                                 + np.sin(np.add.outer(2.0 * x, 3.0 * x))))
+    kernel = {"constant": ConstantPotential(u0, p),
+              "separable": SeparablePotential(
+                  fn, np.sqrt(u0 * (1.0 + 0.1 * np.sin(5.0 * fn))), p),
+              "tabulated": TabulatedPotential(x, table, p)}[kind]
+    grid = build_grid(p, 129)
+    disc = Discretization(kernel, grid)
+    tc = find_Tc(kernel, grid)
+    surface = sweep(hc_temperatures(np.linspace(0.0, tc, 33), tc), disc)
+    curve = build_hc_curve(surface, extract_v(disc, tc), disc)
+    dev = linear_law_check(curve).coeff_over_hc0 / HC_SLOPE_RATIO_WIDE_SHELL - 1.0
+    assert 0.5 <= dev / ref <= 2.0
 
 
 def test_linear_law(tc, v, curve):
@@ -273,7 +294,7 @@ def test_hc_zero_matches_mpmath(eps, u0):
         ref = float(mpmath.sqrt(8 * mpmath.pi * p.n0
                                 * mpmath.quad(integrand, [e0, d, om])))
     disc = Discretization(ConstantPotential(u0, p), build_grid(p, 129))
-    assert hc_zero(solve_at_T(0.0, disc, OPTS), disc) == pytest.approx(ref, rel=1e-12)
+    assert hc(psi(0.0, solve_at_T(0.0, disc, OPTS), disc)) == pytest.approx(ref, rel=1e-12)
 
 
 _XG, _WG = np.polynomial.legendre.leggauss(24)

@@ -33,10 +33,20 @@ def separable_kernel(params):
     return SeparablePotential(fn, fv, params)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve_at_T(np.nan, DISC),
+    lambda: sweep([0.0, np.nan], DISC),
+    lambda: solve_simple_gap(np.nan, 0.3, P),
+], ids=["solve_at_T", "sweep", "solve_simple_gap"])
+def test_nan_temperature_rejected(call):
+    with pytest.raises(ConfigError, match="must be 0 or"):
+        call()
+
+
 def test_grid_endpoints_and_count():
     assert GRID.nodes[0] == P.epsilon
     assert GRID.nodes[-1] == P.hbar_omega_d
-    assert GRID.count == 129
+    assert GRID.nodes.size == 129
     with pytest.raises(ConfigError):
         EnergyGrid(np.linspace(0.1, 1.0, 8))
 
@@ -849,7 +859,7 @@ def test_diagnostics_report_structure():
     # u0/u2 + u0 Delta_2(tau)^2/(2 eps^2) K(T, 0) (see
     # test_coded_alpha_exceeds_perron_root), which falls with T, so it peaks
     # at T = tau
-    assert rep.alpha_argmax[0] == rep.tau
+    assert rep.alpha_argmax[0] == 0.9 * tc
     with pytest.raises(ConfigError):
         contraction_diagnostics(DISC, 2.0 * tc, tc)
 

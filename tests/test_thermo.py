@@ -156,7 +156,7 @@ def v_const(tc_const):
 
 
 def test_psi_zero_slice_is_zero_exactly():
-    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.count), 0, 0.0, coef=np.zeros(1))
+    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.nodes.size), 0, 0.0, coef=np.zeros(1))
     assert psi(0.02, z, DISC) == 0.0
 
 
