@@ -20,14 +20,11 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config, temperature, temperature_count
-from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
 from .errors import ConfigError, NumericalError
 from .gap_solver import (Discretization, build_grid, contraction_diagnostics,
                          find_Tc, solve_at_T, sweep)
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
-from .thermo import (HC_SLOPE_RATIO_WIDE_SHELL, JUMP_RATIO_WIDE_SHELL,
-                     build_thermo_curve, cv_normal, extract_v, universal_constant)
 
 # at exit, spare the interpreter's final collections the import-time heap
 atexit.register(gc.freeze)
@@ -149,6 +146,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
+    from .thermo import build_thermo_curve
     disc, tc = _stages(cfg)
     surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, cfg.opts)
     curve = build_thermo_curve(surface, disc, cfg.dos)
@@ -161,6 +159,7 @@ def cmd_thermo(args, cfg: RunConfig) -> int:
 
 
 def cmd_ratio(args, cfg: RunConfig) -> int:
+    from .thermo import cv_normal, extract_v, universal_constant
     disc, tc = _stages(cfg)
     dcv = extract_v(disc, tc).jump
     cvn = cv_normal(tc, cfg.dos)
@@ -174,6 +173,7 @@ def cmd_ratio(args, cfg: RunConfig) -> int:
 
 
 def cmd_vfun(args, cfg: RunConfig) -> int:
+    from .thermo import extract_v
     disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
     path = _write(args, cfg, "vfun.csv", {"Tc": tc},
@@ -183,6 +183,8 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
 
 
 def cmd_hc(args, cfg: RunConfig) -> int:
+    from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
+    from .thermo import HC_SLOPE_RATIO_WIDE_SHELL, extract_v
     disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
     surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, cfg.opts)
@@ -201,6 +203,7 @@ def cmd_hc(args, cfg: RunConfig) -> int:
 
 
 def cmd_universal(args, cfg: RunConfig) -> int:
+    from .thermo import JUMP_RATIO_WIDE_SHELL, universal_constant
     val = universal_constant()
     _say(args, f"{_fmt(val)}  |value - 12/(7 zeta(3))| = "
                f"{_fmt(abs(val - JUMP_RATIO_WIDE_SHELL))}")

@@ -6,6 +6,8 @@ only surface as a failed traced benchmark run.
 """
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,3 +83,46 @@ def test_tracer_names_find_tc_spans_by_kernel_type(tmp_path):
         tracer.uninstall()
     for name in kernels:
         assert f"gap_solver.find_Tc.{name}" in tracer.names
+
+
+def test_tracer_wraps_and_restores_modules_loaded_during_install(tmp_path):
+    # a fresh interpreter, as in a benchmark request: importing the CLI leaves
+    # thermo unexecuted, and install() loads it before wrapping anything
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("potential.u0 = 0.3\ngrids.energy_points = 33\n")
+    script = f"""
+import importlib.util, sys, types
+import bcsgap.cli as cli
+assert type(sys.modules["bcsgap.thermo"]) is not types.ModuleType
+spec = importlib.util.spec_from_file_location("bench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+def resolve(module, attr):
+    owner = sys.modules["bcsgap." + module]
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+tracer = tracing.Tracer()
+tracer.install()
+originals = {{(m, a): resolve(m, a).__wrapped__ for m, a, _ in tracing.TARGETS}}
+top = {{a for _, a, _ in tracing.TARGETS if "." not in a}}
+mods = {{k: v for k, v in sys.modules.items() if k.startswith("bcsgap.")}}
+held = {{(k, a): getattr(m, a).__wrapped__ for k, m in mods.items() for a in top
+         if hasattr(getattr(m, a, None), "__wrapped__")}}
+assert cli.main(["--quiet", "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r},
+                 "ratio"]) == 0
+tracer.uninstall()
+spans = {{tracer.names[i] for i in tracer.name}}
+assert {{"thermo.extract_v", "gap_solver.find_Tc.constant"}} <= spans, spans
+for (m, a), fn in originals.items():
+    assert resolve(m, a) is fn, (m, a)
+for (k, a), fn in held.items():
+    assert getattr(mods[k], a) is fn, (k, a)
+print(" ".join(sorted({{k for k, _ in held}})))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert {"bcsgap.thermo", "bcsgap.critical_field"} <= set(proc.stdout.split())

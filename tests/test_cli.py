@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bcsgap
 from bcsgap import ConfigError, Discretization, SolverOpts, cli, load_config
 import bcsgap.gap_solver as gap_solver
 import bcsgap.thermo as thermo
@@ -402,9 +403,10 @@ def test_cli_vfun_and_hc(tmp_path):
                  "hc", "--t-points", "9")
     assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "hc.csv").read_text().splitlines()[0] == "T,hc,dhc_dT"
-    meta = (tmp_path / "hc.csv.meta").read_text()
-    assert "hc0" in meta and "slope_at_Tc" in meta
-    assert "coeff_over_hc0" in meta
+    meta = (tmp_path / "hc.csv.meta").read_text().splitlines()
+    vals = dict(line.split(" = ") for line in meta)
+    for key in ("hc0", "slope_at_Tc", "coeff_over_hc0", "coeff_over_hc0_minus_limit"):
+        assert np.isfinite(float(vals[key])), key
 
 
 @pytest.mark.parametrize("text", [SEPARABLE_CFG, TABULATED_CFG],
@@ -461,6 +463,49 @@ def test_cli_requests_load_no_lazy_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
     assert (tmp_path / "hc.csv").exists() and (tmp_path / "diagnose.txt").exists()
+
+
+SUBCOMMAND_MODULES = [
+    ("tc", [], ""), ("gap", ["--t", "0.02"], ""),
+    ("simple-gap", ["--coupling", "u1"], ""), ("sweep", [], ""),
+    ("diagnose", ["--tau", "0.02"], ""),
+    ("thermo", [], "thermo"), ("ratio", [], "thermo"), ("vfun", [], "thermo"),
+    ("universal", [], "thermo"), ("hc", [], "thermo critical_field"),
+]
+
+
+@pytest.mark.parametrize("sub, extra, executed", SUBCOMMAND_MODULES,
+                         ids=[case[0] for case in SUBCOMMAND_MODULES])
+def test_cli_subcommand_executes_only_the_modules_it_runs(tmp_path, sub, extra,
+                                                          executed):
+    # one fresh interpreter per subcommand: the package registers thermo and
+    # critical_field unexecuted, and type() reads a registered module without
+    # executing it; it is a plain module only once its code has run
+    cfgs = [write(tmp_path / "c.cfg", FAST_CFG),
+            write(tmp_path / "t.cfg", TABULATED_CFG)]
+    argv = [sub, *extra]
+    script = (
+        "import sys, types\n"
+        "import bcsgap.cli as cli\n"
+        f"for cfg in {cfgs!r}:\n"
+        f"    base = ['--quiet', '--config', cfg, '--out', {str(tmp_path)!r}]\n"
+        f"    assert cli.main(base + {argv!r}) == 0, cfg\n"
+        "print(' '.join(m for m in ('thermo', 'critical_field')\n"
+        "               if type(sys.modules['bcsgap.' + m]) is types.ModuleType))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == executed
+
+
+def test_public_names_resolve_to_their_defining_module():
+    assert bcsgap.__all__[0] == "__version__"
+    for name in bcsgap.__all__[1:]:
+        obj = getattr(bcsgap, name)
+        assert obj.__module__.startswith("bcsgap."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bcsgap.no_such_name
 
 
 def test_cli_hc_solves_each_temperature_once(tmp_path, monkeypatch):
