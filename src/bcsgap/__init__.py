@@ -9,13 +9,13 @@ _MODULES = {
     "errors": "ConfigError NumericalError",
     "model": "PhysicalParams validate_params PotentialSpec ConstantPotential "
              "SeparablePotential TabulatedPotential "
-             "DosModel FlatShellDos SqrtBandDos eval_dos",
+             "DosModel FlatShellDos SqrtBandDos eval_dos SolverOpts",
     "quadrature": "QuadResult integrate integrate_tail",
     "simple_gap": "SimpleGapCurve build_simple_gap_curve delta_at_zero gap_rhs "
                   "solve_simple_gap solve_tau solve_tau0 solve_z0 tau3",
-    "gap_solver": "Discretization EnergyGrid GapSlice GapSurface "
-                  "ContractionReport SolverOpts build_grid contraction_diagnostics "
-                  "du_dT_at_fixed_point find_Tc solve_at_T sweep",
+    "gap_solver": "Discretization EnergyGrid GapSlice ContractionReport "
+                  "build_grid contraction_diagnostics du_dT_at_fixed_point "
+                  "find_Tc solve_at_T sweep",
     "thermo": "ThermoCurve VFunction build_thermo_curve condensation "
               "cv_normal extract_v g_weight omega_normal psi universal_constant",
     "critical_field": "HcCurve LinearLawReport build_hc_curve hc hc_slope "
@@ -39,3 +39,7 @@ def __getattr__(name):
     if name in _HOME:
         return getattr(globals()[_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return [*globals(), *_HOME]

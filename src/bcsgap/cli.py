@@ -21,8 +21,6 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config, temperature, temperature_count
 from .errors import ConfigError, NumericalError
-from .gap_solver import (Discretization, build_grid, contraction_diagnostics,
-                         find_Tc, solve_at_T, sweep)
 from .simple_gap import (build_simple_gap_curve, delta_at_zero, solve_tau,
                          solve_tau0, tau3)
 
@@ -38,13 +36,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _disc(cfg: RunConfig) -> Discretization:
+def _disc(cfg: RunConfig):
     """The request's one discretization of the configured kernel."""
+    from .gap_solver import Discretization, build_grid
     return Discretization(cfg.potential, build_grid(cfg.params, cfg.energy_points))
 
 
-def _stages(cfg: RunConfig) -> tuple[Discretization, float]:
+def _stages(cfg: RunConfig):
     """The discretization and T_c of a request."""
+    from .gap_solver import find_Tc
     disc = _disc(cfg)
     return disc, find_Tc(cfg.potential, disc.grid, cfg.opts)
 
@@ -86,7 +86,7 @@ def _say(args, text: str) -> None:
         print(text)
 
 
-def _t_grid(args, cfg: RunConfig, upper: float) -> np.ndarray:
+def _temperatures(args, cfg: RunConfig, upper: float) -> np.ndarray:
     return np.linspace(args.t_min, upper if args.t_max is None else args.t_max,
                        args.t_points or cfg.t_points)
 
@@ -101,22 +101,25 @@ def cmd_simple_gap(args, cfg: RunConfig) -> int:
 
 
 def cmd_gap(args, cfg: RunConfig) -> int:
-    sl = solve_at_T(args.t, _disc(cfg), cfg.opts)
+    from .gap_solver import solve_at_T
+    disc = _disc(cfg)
+    sl = solve_at_T(args.t, disc, cfg.opts)
     path = _write(args, cfg, "gap.csv", {
         "T": sl.T, "iterations": sl.iterations, "final_residual": sl.final_residual},
-        {"x": sl.x, "u": sl.values})
+        {"x": disc.grid.nodes, "u": disc.F @ sl.coef})
     _say(args, f"wrote {path} (iterations = {sl.iterations}, residual = {_fmt(sl.final_residual)})")
     return 0
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    from .gap_solver import sweep
     disc, tc = _stages(cfg)
-    ts = _t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params))
-    slices = sweep(ts, disc, cfg.opts).slices
+    ts = _temperatures(args, cfg, solve_tau(cfg.params.u2, cfg.params))
+    slices = sweep(ts, disc, cfg.opts)
     n = disc.grid.nodes.size
     path = _write(args, cfg, "sweep.csv", {"Tc": tc}, {
         "T": np.repeat(ts, n), "x": np.tile(disc.grid.nodes, ts.size),
-        "u": np.concatenate([sl.values for sl in slices]),
+        "u": np.concatenate([disc.F @ sl.coef for sl in slices]),
         "residual": np.repeat([sl.final_residual for sl in slices], n),
         "iterations": np.repeat([float(sl.iterations) for sl in slices], n)})
     _say(args, f"wrote {path} (Tc = {_fmt(tc)})")
@@ -124,6 +127,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_tc(args, cfg: RunConfig) -> int:
+    from .gap_solver import build_grid, find_Tc
     tc = find_Tc(cfg.potential, build_grid(cfg.params, cfg.energy_points), cfg.opts)
     _write(args, cfg, "tc.meta", {"Tc": tc})
     _say(args, _fmt(tc))
@@ -131,13 +135,14 @@ def cmd_tc(args, cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
+    from .gap_solver import contraction_diagnostics
     disc, tc = _stages(cfg)
     rep = contraction_diagnostics(disc, args.tau, tc)
     path = _write(args, cfg, "diagnose.txt", {
         "tau": args.tau, "a": rep.a, "b": rep.b, "gamma": rep.gamma,
         "alpha": rep.alpha, "gamma_feasible": rep.gamma_feasible,
-        "alpha_feasible": rep.alpha_feasible, "tau0": rep.tau0,
-        "tau3": rep.tau3, "Tc": tc,
+        "alpha_feasible": rep.alpha_feasible, "tau0": solve_tau0(cfg.params),
+        "tau3": tau3(cfg.params), "Tc": tc,
         "alpha_argmax_T": rep.alpha_argmax[0],
         "alpha_argmax_x": rep.alpha_argmax[1]})
     _say(args, f"wrote {path} (alpha = {_fmt(rep.alpha)}, "
@@ -146,10 +151,11 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_thermo(args, cfg: RunConfig) -> int:
+    from .gap_solver import sweep
     from .thermo import build_thermo_curve
     disc, tc = _stages(cfg)
-    surface = sweep(_t_grid(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, cfg.opts)
-    curve = build_thermo_curve(surface, disc, cfg.dos)
+    slices = sweep(_temperatures(args, cfg, solve_tau(cfg.params.u2, cfg.params)), disc, cfg.opts)
+    curve = build_thermo_curve(slices, disc, cfg.dos)
     path = _write(args, cfg, "thermo.csv", {"Tc": tc}, {
         "T": curve.t, "omega_n": curve.omega_n, "psi": curve.psi,
         "dpsi_dT": curve.dpsi_dT, "cv_normal": curve.cv_normal,
@@ -177,25 +183,27 @@ def cmd_vfun(args, cfg: RunConfig) -> int:
     disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
     path = _write(args, cfg, "vfun.csv", {"Tc": tc},
-                  {"x": v.x, "v": v.values, "fit_residual": v.fit_residual})
+                  {"x": disc.grid.nodes, "v": v.values, "fit_residual": v.fit_residual})
     _say(args, f"wrote {path}")
     return 0
 
 
 def cmd_hc(args, cfg: RunConfig) -> int:
     from .critical_field import build_hc_curve, hc_temperatures, linear_law_check
+    from .gap_solver import sweep
     from .thermo import HC_SLOPE_RATIO_WIDE_SHELL, extract_v
     disc, tc = _stages(cfg)
     v = extract_v(disc, tc)
-    surface = sweep(hc_temperatures(_t_grid(args, cfg, tc), tc), disc, cfg.opts)
-    curve = build_hc_curve(surface, v, disc, cfg.opts)
+    slices = sweep(hc_temperatures(_temperatures(args, cfg, tc), tc), disc, cfg.opts)
+    curve = build_hc_curve(slices, v, disc, cfg.opts)
     law = linear_law_check(curve)
+    ratio = law.fitted_coefficient / curve.hc0
     path = _write(args, cfg, "hc.csv", {
         "Tc": tc, "hc0": curve.hc0, "slope_at_Tc": curve.slope_at_tc,
         "fitted_linear_coefficient": law.fitted_coefficient,
         "predicted_linear_coefficient": law.predicted_coefficient,
-        "coeff_over_hc0": law.coeff_over_hc0,
-        "coeff_over_hc0_minus_limit": law.coeff_over_hc0 - HC_SLOPE_RATIO_WIDE_SHELL},
+        "coeff_over_hc0": ratio,
+        "coeff_over_hc0_minus_limit": ratio - HC_SLOPE_RATIO_WIDE_SHELL},
         {"T": curve.t, "hc": curve.hc, "dhc_dT": curve.dhc_dT})
     _say(args, f"wrote {path} (hc0 = {_fmt(curve.hc0)}, "
                f"slope at Tc = {_fmt(curve.slope_at_tc)})")

@@ -12,9 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .gap_solver import SolverOpts
 from .model import (ConstantPotential, DosModel, FlatShellDos, PhysicalParams,
-                    PotentialSpec, SeparablePotential, SqrtBandDos,
+                    PotentialSpec, SeparablePotential, SolverOpts, SqrtBandDos,
                     TabulatedPotential, validate_params)
 from .simple_gap import delta_at_zero
 
@@ -28,6 +27,7 @@ KNOWN_KEYS = {
 }
 MIN_T_POINTS = 8
 MAX_T_POINTS = 100_000
+MAX_ENERGY_POINTS = 100_000
 
 
 class RunConfig(NamedTuple):
@@ -166,8 +166,9 @@ def load_config(path: str | None) -> RunConfig:
 
     energy_points = get("grids.energy_points", 129, int)
     t_points = get("grids.t_points", 33, int)
-    if energy_points < 16:
-        raise ConfigError("grids.energy_points must be at least 16")
+    if not 16 <= energy_points <= MAX_ENERGY_POINTS:
+        raise ConfigError("grids.energy_points must be at least 16 "
+                          f"and at most {MAX_ENERGY_POINTS}")
     if not MIN_T_POINTS <= t_points <= MAX_T_POINTS:
         raise ConfigError(f"grids.t_points must be at least {MIN_T_POINTS} "
                           f"and at most {MAX_T_POINTS}")

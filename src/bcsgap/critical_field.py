@@ -51,7 +51,6 @@ class HcCurve(NamedTuple):
 class LinearLawReport(NamedTuple):
     fitted_coefficient: float
     predicted_coefficient: float
-    coeff_over_hc0: float
     n_points: int
 
 
@@ -67,17 +66,17 @@ def hc_temperatures(base: np.ndarray, tc: float) -> np.ndarray:
     return np.array(sorted(t for t in ts if 0.0 <= t <= tc), dtype=float)
 
 
-def build_hc_curve(surface, v: VFunction, disc: Discretization,
+def build_hc_curve(slices, v: VFunction, disc: Discretization,
                    opts: SolverOpts | None = None) -> HcCurve:
-    """Field and slope over a solved surface.
+    """Field and slope over the slices of a sweep.
 
     Zero slices give the field 0, with the closed-form transition slope at
     and below T_c = v.tc and slope 0 above it; the slope at T = 0 is 0.
     """
     tc = v.tc
     slope_tc = slope_at_tc(v)
-    ts = surface.t_grid
-    ps, dps, _ = _psi_curve(surface, disc)
+    ts = np.array([sl.T for sl in slices])
+    ps, dps, _ = _psi_curve(slices, disc)
     h = np.empty(ts.size)
     dh = np.empty(ts.size)
     for i, t in enumerate(ts):
@@ -87,7 +86,7 @@ def build_hc_curve(surface, v: VFunction, disc: Discretization,
         else:
             dh[i] = 0.0 if t == 0.0 else hc_slope(ps[i], dps[i])
 
-    h0 = h[0] if ts[0] == 0.0 else hc(psi(0.0, solve_at_T(0.0, disc, opts), disc))
+    h0 = h[0] if ts[0] == 0.0 else hc(psi(solve_at_T(0.0, disc, opts), disc))
     return HcCurve(ts, h, dh, h0, slope_tc, tc)
 
 
@@ -119,4 +118,4 @@ def linear_law_check(curve: HcCurve) -> LinearLawReport:
     fitted = (float(z.mean()) - a0 * float(z @ p1) / n1
               + (a0 * a1 - b1) * float(z @ p2) / float(p2 @ p2))
     predicted = tc * abs(curve.slope_at_tc)
-    return LinearLawReport(fitted, predicted, fitted / curve.hc0, d.size)
+    return LinearLawReport(fitted, predicted, d.size)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .interpolate import MonotoneCubic
-from .model import PhysicalParams, PotentialSpec
+from .model import PhysicalParams, PotentialSpec, SolverOpts
 from .quadrature import composite_gauss
 from .rootfind import solve_bracketed
 from .simple_gap import delta_at_zero, solve_simple_gap, solve_tau, solve_tau0, tau3
@@ -54,6 +54,10 @@ class EnergyGrid:
         if h * h < sys.float_info.min:  # the interpolant divides by h^2
             raise ConfigError(f"energy grid spacing {h!r} squares to below the "
                               f"smallest normal double; raise epsilon ({float(n[0])!r})")
+        top = float(n[-1])
+        if top * top * top > sys.float_info.max:  # the gap terms cube energies
+            raise ConfigError(f"energy grid node {top!r} cubes to beyond the largest "
+                              "double; lower hbar_omega_d")
         n.setflags(write=False)
         self.nodes = n
 
@@ -74,21 +78,12 @@ def build_grid(params: PhysicalParams, count: int) -> EnergyGrid:
 
 
 class GapSlice(NamedTuple):
-    """Gap values on the grid nodes x; from solve_at_T, values = F(x) @ coef."""
+    """Fixed point at T by its kernel coefficients: u = F @ coef on the grid nodes,
+    Ft @ coef at the quadrature nodes.  F > 0 and coef >= 0, so u = 0 iff not coef.any()."""
     T: float
-    x: np.ndarray
-    values: np.ndarray
+    coef: np.ndarray
     iterations: int
     final_residual: float
-    coef: np.ndarray
-
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-class GapSurface(NamedTuple):
-    t_grid: np.ndarray
-    slices: list
 
 
 class ContractionReport(NamedTuple):
@@ -104,25 +99,12 @@ class ContractionReport(NamedTuple):
     alpha: float
     gamma_feasible: bool
     alpha_feasible: bool
-    tau0: float
-    tau3: float
     alpha_argmax: tuple  # (T, x)
 
 
 # Newton steps per solve.  No solve in the tests or the benchmark takes over
 # 45, the count at the first doubles below T_c, where I - core is near singular.
 NEWTON_BUDGET = 100
-
-
-class SolverOpts(NamedTuple):
-    tol: float | None = None
-    t_tol: float | None = None
-
-    def resolved_tol(self, delta2_zero: float) -> float:
-        return self.tol if self.tol is not None else 1e-10 * delta2_zero
-
-    def resolved_t_tol(self, tau2: float) -> float:
-        return self.t_tol if self.t_tol is not None else 1e-15 * tau2
 
 
 class Discretization:
@@ -276,21 +258,16 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         raise ConfigError(f"temperature {t!r} must be 0 or >= {sys.float_info.min!r}")
     opts = opts or SolverOpts()
     params = disc.kernel.params
-    x = disc.grid.nodes
-
-    def result(c, it, res):
-        return GapSlice(t, x, disc.F @ c, it, res, c)
-
     zero = np.zeros(disc.F.shape[1])
     tau2 = solve_tau(params.u2, params)
     if t >= tau2:
-        return result(zero, 0, 0.0)
+        return GapSlice(t, zero, 0, 0.0)
 
     # Subcritical operator: the only nonnegative fixed point is zero, which
     # plain iteration from the upper envelope would approach at a crawl for T
     # just above the transition.  The zero slice is exact there.
     if not _supercritical(disc, t):
-        return result(zero, 0, 0.0)
+        return GapSlice(t, zero, 0, 0.0)
 
     d20 = delta_at_zero(params.u2, params)
     tol = opts.resolved_tol(d20)
@@ -305,16 +282,16 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         # a residual inside tol that stops falling is at the roundoff floor,
         # where a Newton step would only amplify the noise
         if res_prev <= res <= tol:
-            return result(c, it, res)
+            return GapSlice(t, c, it, res)
         try:
             step = disc.solve_linearized(dphi_du, c - g)
         except NumericalError:  # no step can be formed, a few doubles below T_c
             if res <= tol:
-                return result(c, it, res)
+                return GapSlice(t, c, it, res)
             raise
         c = c - step
         if res <= tol and float(np.abs(disc.F @ step).max()) <= tol:
-            return result(c, it, res)
+            return GapSlice(t, c, it, res)
         res_prev = res
 
     raise NumericalError(
@@ -322,11 +299,11 @@ def solve_at_T(t: float, disc: Discretization, opts: SolverOpts | None = None,
         best=disc.F @ c, residual=res_prev)
 
 
-def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None) -> GapSurface:
-    """Per-temperature solves in ascending order, each started from the last
-    nonzero slice u below it, a supersolution there: A_T' u <= A_T u for T' > T."""
+def sweep(temperatures, disc: Discretization, opts: SolverOpts | None = None) -> list:
+    """The slices of per-temperature solves in ascending order, each started from
+    the last nonzero slice u below it, a supersolution there: A_T' u <= A_T u for T' > T."""
     params = disc.kernel.params
-    ts = np.asarray(t_grid, dtype=float)
+    ts = np.asarray(temperatures, dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ConfigError("temperature grid must be strictly ascending")
     tau2 = solve_tau(params.u2, params)
@@ -336,8 +313,8 @@ def sweep(t_grid, disc: Discretization, opts: SolverOpts | None = None) -> GapSu
     slices, start = [], None
     for t in ts:
         slices.append(solve_at_T(float(t), disc, opts, start))
-        start = slices[-1].coef if slices[-1].sup() > 0.0 else start
-    return GapSurface(ts, slices)
+        start = slices[-1].coef if slices[-1].coef.any() else start
+    return slices
 
 
 def find_Tc(kernel: PotentialSpec, grid: EnergyGrid,
@@ -402,7 +379,7 @@ def contraction_diagnostics(disc: Discretization, tau: float,
     alpha, argmax = float(total[j, i]), (float(ts[j]), float(disc.grid.nodes[i]))
 
     return ContractionReport(a, float(b), float(gamma), alpha, gamma_feasible,
-                             alpha < 1.0, t0, t3, argmax)
+                             alpha < 1.0, argmax)
 
 
 def _alpha_coefs(disc: Discretization, tau: float, ts) -> np.ndarray:

@@ -47,6 +47,18 @@ def validate_params(raw: PhysicalParams) -> PhysicalParams:
     return raw
 
 
+class SolverOpts(NamedTuple):
+    """Solver tolerances; None selects the default scaled to the problem."""
+    tol: float | None = None
+    t_tol: float | None = None
+
+    def resolved_tol(self, delta2_zero: float) -> float:
+        return self.tol if self.tol is not None else 1e-10 * delta2_zero
+
+    def resolved_t_tol(self, tau2: float) -> float:
+        return self.t_tol if self.t_tol is not None else 1e-15 * tau2
+
+
 def _readonly(a):
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)

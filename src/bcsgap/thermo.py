@@ -55,13 +55,13 @@ def g_weight(eta):
     return float(out[0]) if scalar else out
 
 
-def psi(t: float, u: GapSlice, disc: Discretization) -> float:
-    """Condensation part of the thermodynamic potential at one temperature.
+def psi(u: GapSlice, disc: Discretization) -> float:
+    """Condensation part of the thermodynamic potential at the slice's T.
 
     u is taken at the quadrature nodes as Ft @ u.coef, the interpolant the
     solver iterated.
     """
-    qn, qw = disc.qn, disc.qw
+    t, qn, qw = u.T, disc.qn, disc.qw
     uu = disc.Ft @ u.coef
     e = np.hypot(qn, uu)
     u2 = uu * uu
@@ -77,17 +77,17 @@ def psi(t: float, u: GapSlice, disc: Discretization) -> float:
     return disc.kernel.params.n0 * float(qw @ integrand)
 
 
-def condensation(t: float, u: GapSlice, disc: Discretization):
-    """Psi, dPsi/dT and the shell part of C_V^S on a nonzero slice at T = t > 0.
+def condensation(u: GapSlice, disc: Discretization):
+    """Psi, dPsi/dT and the shell part of C_V^S on a nonzero slice at T > 0.
 
     dPsi/dT is the analytic derivative along the solution and C_V^S's shell
     part the entropy form, (n0/T) * integral of sech^2(E/2T) (E^2/T - u du/dT);
     u enters as Ft @ u.coef and du/dT as Ft @ dc/dT, dc/dT from
     du_dT_at_fixed_point.
     """
+    t, qn, qw, n0 = u.T, disc.qn, disc.qw, disc.kernel.params.n0
     if t <= 0.0:
         raise ValueError("condensation needs T > 0; at T = 0 take psi")
-    qn, qw, n0 = disc.qn, disc.qw, disc.kernel.params.n0
     uu = disc.Ft @ u.coef
     du = disc.Ft @ du_dT_at_fixed_point(u, disc)
     phi, dphi_du, dphi_dT = _gap_terms(disc, uu, t)
@@ -99,7 +99,7 @@ def condensation(t: float, u: GapSlice, disc: Discretization):
     dpsi = (du * (uu * dphi_du - phi) + uu * dphi_dT
             - 4.0 * (dlog + (e * fermi(e / t) - qn * fermi(qn / t)) / t))
     shell = sech2(e / (2.0 * t)) * (e2 / t - uu * du)
-    return psi(t, u, disc), n0 * float(qw @ dpsi), n0 * float(qw @ shell) / t
+    return psi(u, disc), n0 * float(qw @ dpsi), n0 * float(qw @ shell) / t
 
 
 # Fermi-window rules: 7-point Gauss panels at most T wide (every pole of the
@@ -182,14 +182,13 @@ def cv_normal(t: float, dos: DosModel) -> float:
 
 
 class VFunction(NamedTuple):
-    """v(x) = -d(u^2)/dT at T = tc on the grid nodes x, and the jump it carries.
+    """v(x) = -d(u^2)/dT at T = tc on the grid nodes, and the jump it carries.
 
     jump is Delta C_V = -n0/(16 T_c^2) (integral of v^2 g(xi/2T_c)) > 0.
     fit_residual is |m| * v, m the relative mismatch between jump, quadratic
     in v, and the entropy form, linear in v: they agree only when the
     amplitude of v is right.
     """
-    x: np.ndarray
     values: np.ndarray
     fit_residual: np.ndarray
     jump: float
@@ -223,7 +222,7 @@ def extract_v(disc: Discretization, tc: float) -> VFunction:
     vq = a2 * ut * ut
     jump = -params.n0 / (16.0 * tc * tc) * float(qw @ (vq * vq * g))
     m = jump / (params.n0 / (2.0 * tc) * float(qw @ (vq * s2))) - 1.0
-    return VFunction(disc.grid.nodes, values, abs(m) * values, jump, tc)
+    return VFunction(values, abs(m) * values, jump, tc)
 
 
 def universal_constant() -> float:
@@ -251,24 +250,23 @@ class ThermoCurve(NamedTuple):
     cv_super: np.ndarray
 
 
-def _psi_curve(surface, disc: Discretization):
-    """condensation on every slice of a surface: all 0 on zero slices
-    (T >= T_c), and Psi alone at T = 0."""
-    return np.array([(0.0,) * 3 if sl.sup() == 0.0
-                     else condensation(t, sl, disc) if t > 0.0
-                     else (psi(0.0, sl, disc), 0.0, 0.0)
-                     for t, sl in zip(surface.t_grid.tolist(), surface.slices)]).T
+def _psi_curve(slices, disc: Discretization):
+    """condensation on every slice: all 0 on zero slices (T >= T_c), and Psi
+    alone at T = 0."""
+    return np.array([(0.0,) * 3 if not sl.coef.any()
+                     else condensation(sl, disc) if sl.T > 0.0
+                     else (psi(sl, disc), 0.0, 0.0) for sl in slices]).T
 
 
-def build_thermo_curve(surface, disc: Discretization,
+def build_thermo_curve(slices, disc: Discretization,
                        dos: DosModel) -> ThermoCurve:
-    """Per-temperature thermodynamic records over a solved surface, all
+    """Per-temperature thermodynamic records over the slices of a sweep, all
     analytic: cv_super is cv_normal wherever Psi vanishes identically, and
     below T_c the off-shell part of cv_normal plus condensation's shell part.
     """
-    ts = surface.t_grid
+    ts = np.array([sl.T for sl in slices])
     d_omega, cvn, cv_off = np.array([_normal_thermal(t, dos) if t > 0.0 else (0.0,) * 3
                                      for t in ts.tolist()]).T
-    ps, dps, shell = _psi_curve(surface, disc)
+    ps, dps, shell = _psi_curve(slices, disc)
     return ThermoCurve(ts, _ground_energy(dos) + d_omega, ps, dps, cvn,
                        np.where(ps == 0.0, cvn, cv_off + shell))

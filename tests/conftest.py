@@ -65,7 +65,7 @@ def picard():
             res_prev = res
             q = max(ratios) if ratios else 0.0
             if res <= tol and q < 1.0 and res * q / (1.0 - q) <= 0.5 * tol:
-                return GapSlice(t, disc.grid.nodes, disc.F @ g, it, res, g), history
+                return GapSlice(t, g, it, res), history
             c = g
         raise NumericalError(f"Picard budget exhausted at T={t:g} (residual {res:g})")
 

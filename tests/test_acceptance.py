@@ -145,21 +145,24 @@ def separable_surface(default_params):
     grid = build_grid(p, 129)
     ts = np.linspace(0.0, solve_tau(p.u2, p), 33)
     t0 = time.time()
-    surf = sweep(ts, Discretization(k, grid), SolverOpts())
-    return dict(k=k, surf=surf, ts=ts, runtime=time.time() - t0, p=p)
+    disc = Discretization(k, grid)
+    surf = sweep(ts, disc, SolverOpts())
+    return dict(k=k, disc=disc, surf=surf, ts=ts, runtime=time.time() - t0, p=p)
 
 
 def test_criterion_05_sandwich_and_monotonicity(separable_surface):
     p = separable_surface["p"]
     surf = separable_surface["surf"]
     ts = separable_surface["ts"]
+    disc = separable_surface["disc"]
     ok_sandwich = True
-    for t, sl in zip(ts, surf.slices):
+    for t, sl in zip(ts, surf):
         d1 = solve_simple_gap(float(t), p.u1, p)
         d2 = solve_simple_gap(float(t), p.u2, p)
-        if not (np.all(sl.values >= d1 - 1e-8) and np.all(sl.values <= d2 + 1e-8)):
+        u = disc.F @ sl.coef
+        if not (np.all(u >= d1 - 1e-8) and np.all(u <= d2 + 1e-8)):
             ok_sandwich = False
-    vals = np.array([sl.values for sl in surf.slices])
+    vals = np.array([disc.F @ sl.coef for sl in surf])
     ok_mono = bool(np.all(np.diff(vals, axis=0) <= 2e-10))
     report("05 sandwich and monotonicity", ok_sandwich and ok_mono,
            f"33x129 separable surface, sandwich={ok_sandwich} "
@@ -172,11 +175,12 @@ def test_criterion_06_constant_kernel_oracle_equivalence(default_params):
     k = ConstantPotential(0.3, p)
     grid = build_grid(p, 129)
     ts = np.linspace(0.0, solve_tau(p.u2, p), 33)
-    surf = sweep(ts, Discretization(k, grid), SolverOpts())
+    disc = Discretization(k, grid)
+    surf = sweep(ts, disc, SolverOpts())
     worst = 0.0
-    for t, sl in zip(ts, surf.slices):
+    for t, sl in zip(ts, surf):
         oracle = solve_simple_gap(float(t), 0.3, p)
-        worst = max(worst, float(np.max(np.abs(sl.values - oracle))))
+        worst = max(worst, float(np.max(np.abs(disc.F @ sl.coef - oracle))))
     ok = worst <= 1e-8
     report("06 constant-kernel oracle equivalence", ok,
            f"worst |u - Delta| over 33 temperatures = {worst:.2e} "
@@ -239,7 +243,7 @@ def test_criterion_07c_two_seeds_one_fixed_point(default_params, picard):
         t = frac * tc
         upper = solve_at_T(t, disc, SolverOpts())
         lower = picard(t, disc, seed=1e-3 * d20)[0]
-        worst = max(worst, float(np.max(np.abs(upper.values - lower.values))))
+        worst = max(worst, float(np.max(np.abs(disc.F @ upper.coef - disc.F @ lower.coef))))
     ok = worst <= 2.0 * tol
     report("07c two seeds converge together", ok,
            f"max seed-to-seed gap={worst:.2e} vs 2*tol={2 * tol:.2e} "
@@ -251,23 +255,23 @@ def test_criterion_08_thermodynamic_endpoints(weak):
     disc, opts, tc = (weak[key] for key in ("disc", "opts", "tc"))
     slc = solve_at_T(tc, disc, opts)
     sl0 = solve_at_T(0.0, disc, opts)
-    psi_tc = psi(tc, slc, disc)
-    psi_0 = psi(0.0, sl0, disc)
+    psi_tc = psi(slc, disc)
+    psi_0 = psi(sl0, disc)
     ok_end = abs(psi_tc) <= 1e-8 * abs(psi_0)
 
     ok_neg = True
     for frac in (0.2, 0.5, 0.8, 0.95):
         sl = solve_at_T(frac * tc, disc, opts)
-        if not psi(frac * tc, sl, disc) < 0.0:
+        if not psi(sl, disc) < 0.0:
             ok_neg = False
 
     t = 0.6 * tc
     sl = solve_at_T(t, disc, opts)
-    ana = condensation(t, sl, disc)[1]
+    ana = condensation(sl, disc)[1]
 
     def fd_err(h):
-        pp = psi(t + h, solve_at_T(t + h, disc, opts), disc)
-        pm = psi(t - h, solve_at_T(t - h, disc, opts), disc)
+        pp = psi(solve_at_T(t + h, disc, opts), disc)
+        pm = psi(solve_at_T(t - h, disc, opts), disc)
         return abs((pp - pm) / (2.0 * h) - ana)
 
     e1, e2 = fd_err(0.02 * tc), fd_err(0.01 * tc)
@@ -306,7 +310,7 @@ def test_criterion_09b_linear_coefficient(hc_bundle):
 
 
 def test_criterion_09c_ratio_to_zero_field(hc_bundle):
-    r = hc_bundle["law"].coeff_over_hc0
+    r = hc_bundle["law"].fitted_coefficient / hc_bundle["curve"].hc0
     ok = 1.70 <= r <= 1.78
     report("09c linear coefficient over hc(0)", ok, f"ratio={r:.4f}")
 
@@ -316,11 +320,11 @@ def test_criterion_09d_flat_at_zero_temperature(weak):
     p, disc, opts = (weak[key] for key in ("p", "disc", "opts"))
     from bcsgap.simple_gap import tau3 as tau3_fn
     t3 = tau3_fn(p)
-    h0 = hc(psi(0.0, solve_at_T(0.0, disc, opts), disc))
+    h0 = hc(psi(solve_at_T(0.0, disc, opts), disc))
 
     def hc_at(t):
         sl = solve_at_T(t, disc, opts)
-        return hc(psi(t, sl, disc))
+        return hc(psi(sl, disc))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(t3 / 8.0) - h0)

@@ -2,13 +2,15 @@ import gc
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcsgap
-from bcsgap import ConfigError, Discretization, SolverOpts, cli, load_config
+from bcsgap import (ConfigError, Discretization, SolverOpts, build_grid, cli,
+                    load_config, solve_at_T, solve_tau, sweep)
 import bcsgap.gap_solver as gap_solver
 import bcsgap.thermo as thermo
 from bcsgap.interpolate import MonotoneCubic
@@ -78,6 +80,18 @@ def test_load_config_rejects_small_grids(tmp_path):
         load_config(write(tmp_path / "c.cfg", "grids.t_points = 4\n"))
     with pytest.raises(ConfigError, match="at most 100000"):
         load_config(write(tmp_path / "c.cfg", "grids.t_points = 100000000000\n"))
+
+
+def test_load_config_bounds_energy_grids_before_any_allocation(tmp_path, capsys):
+    # a billion nodes would be 4 GB of geomspace before any solve; the bound
+    # is checked at load, where nothing has been allocated
+    cfg = write(tmp_path / "c.cfg", "grids.energy_points = 1000000000\n")
+    with pytest.raises(ConfigError, match="at most 100000"):
+        load_config(cfg)
+    assert load_config(write(tmp_path / "m.cfg", "grids.energy_points = 100000\n")
+                       ).energy_points == 100_000
+    assert cli.main(["--config", cfg, "--out", str(tmp_path), "tc"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: grids.energy_points")
 
 
 def test_load_config_separable_and_tabulated(tmp_path):
@@ -211,6 +225,38 @@ def test_cli_rejects_cutoff_whose_grid_spacing_squares_to_zero(tmp_path, args):
     assert cp.returncode == 2
     assert cp.stderr.startswith("configuration error:")
     assert "epsilon" in cp.stderr and "Traceback" not in cp.stderr
+
+
+GRID_SUBCOMMANDS = [("tc",), ("gap", "--t", "0.02"), ("sweep",), ("thermo",),
+                    ("ratio",), ("vfun",), ("hc",), ("diagnose", "--tau", "1e100")]
+
+
+@pytest.mark.parametrize("args", GRID_SUBCOMMANDS, ids=lambda v: v[0])
+def test_cli_rejects_energy_scale_whose_cube_overflows(tmp_path, capsys, args):
+    # at hbar_omega_d = 1e110 every check on the parameters holds, but the
+    # cube of the largest grid node is inf: ratio, vfun and hc raised
+    # OverflowError at tc ** 3 (exit 1), and sweep and thermo ran out of Newton
+    # steps with dphi/du at 0 (exit 3)
+    cfg = write(tmp_path / "c.cfg",
+                FAST_CFG + "hbar_omega_d = 1e110\nepsilon = 1e107\nmu = 2e111\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "hbar_omega_d" in err
+
+
+@pytest.mark.parametrize("args", [*GRID_SUBCOMMANDS, ("simple-gap", "--coupling", "u1"),
+                                  ("universal",)], ids=lambda v: v[0])
+def test_cli_runs_at_energy_scale_below_the_cube_limit(tmp_path, capsys, args):
+    # 5e102 cubes to 1.25e308, inside the doubles: every subcommand runs,
+    # with no warning
+    cfg = write(tmp_path / "c.cfg",
+                FAST_CFG + "hbar_omega_d = 5e102\nepsilon = 5e99\nmu = 1e104\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", cfg, "--out", str(tmp_path), "--quiet", *args]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # registered before bcsgap.cli is imported, so atexit (last in, first out)
@@ -466,11 +512,12 @@ def test_cli_requests_load_no_lazy_modules(tmp_path):
 
 
 SUBCOMMAND_MODULES = [
-    ("tc", [], ""), ("gap", ["--t", "0.02"], ""),
-    ("simple-gap", ["--coupling", "u1"], ""), ("sweep", [], ""),
-    ("diagnose", ["--tau", "0.02"], ""),
-    ("thermo", [], "thermo"), ("ratio", [], "thermo"), ("vfun", [], "thermo"),
-    ("universal", [], "thermo"), ("hc", [], "thermo critical_field"),
+    ("tc", [], "gap_solver"), ("gap", ["--t", "0.02"], "gap_solver"),
+    ("simple-gap", ["--coupling", "u1"], ""), ("sweep", [], "gap_solver"),
+    ("diagnose", ["--tau", "0.02"], "gap_solver"),
+    ("thermo", [], "gap_solver thermo"), ("ratio", [], "gap_solver thermo"),
+    ("vfun", [], "gap_solver thermo"), ("universal", [], "gap_solver thermo"),
+    ("hc", [], "gap_solver thermo critical_field"),
 ]
 
 
@@ -478,8 +525,8 @@ SUBCOMMAND_MODULES = [
                          ids=[case[0] for case in SUBCOMMAND_MODULES])
 def test_cli_subcommand_executes_only_the_modules_it_runs(tmp_path, sub, extra,
                                                           executed):
-    # one fresh interpreter per subcommand: the package registers thermo and
-    # critical_field unexecuted, and type() reads a registered module without
+    # one fresh interpreter per subcommand: the package registers every
+    # submodule unexecuted, and type() reads a registered module without
     # executing it; it is a plain module only once its code has run
     cfgs = [write(tmp_path / "c.cfg", FAST_CFG),
             write(tmp_path / "t.cfg", TABULATED_CFG)]
@@ -490,7 +537,7 @@ def test_cli_subcommand_executes_only_the_modules_it_runs(tmp_path, sub, extra,
         f"for cfg in {cfgs!r}:\n"
         f"    base = ['--quiet', '--config', cfg, '--out', {str(tmp_path)!r}]\n"
         f"    assert cli.main(base + {argv!r}) == 0, cfg\n"
-        "print(' '.join(m for m in ('thermo', 'critical_field')\n"
+        "print(' '.join(m for m in ('gap_solver', 'thermo', 'critical_field')\n"
         "               if type(sys.modules['bcsgap.' + m]) is types.ModuleType))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
@@ -500,12 +547,45 @@ def test_cli_subcommand_executes_only_the_modules_it_runs(tmp_path, sub, extra,
 
 def test_public_names_resolve_to_their_defining_module():
     assert bcsgap.__all__[0] == "__version__"
+    assert set(bcsgap.__all__) <= set(dir(bcsgap))
     for name in bcsgap.__all__[1:]:
         obj = getattr(bcsgap, name)
         assert obj.__module__.startswith("bcsgap."), name
         assert getattr(sys.modules[obj.__module__], name) is obj, name
     with pytest.raises(AttributeError, match="no_such_name"):
         bcsgap.no_such_name
+
+
+@pytest.mark.parametrize("text", [FAST_CFG, TABULATED_CFG], ids=["constant", "tabulated"])
+def test_cli_grid_columns_are_the_solvers_product(tmp_path, text):
+    # %.17g round-trips every double: the x and u columns of gap.csv and of
+    # each T-block of sweep.csv read back as the grid nodes and F @ coef of
+    # the slices solve_at_T and sweep return on the same config, bit for bit
+    path = write(tmp_path / "c.cfg", text)
+    for argv in (["gap", "--t", "0.02"], ["sweep"], ["vfun"]):
+        assert cli.main(["--quiet", "--config", path, "--out", str(tmp_path), *argv]) == 0
+    cfg = load_config(path)
+    disc = Discretization(cfg.potential, build_grid(cfg.params, cfg.energy_points))
+    nodes, n = disc.grid.nodes, disc.grid.nodes.size
+
+    def columns(name):
+        head, *rows = (tmp_path / name).read_text().splitlines()
+        cols = zip(*([float(v) for v in row.split(",")] for row in rows))
+        return dict(zip(head.split(","), map(np.array, cols)))
+
+    gap = columns("gap.csv")
+    assert np.array_equal(gap["x"], nodes)
+    assert np.array_equal(gap["u"], disc.F @ solve_at_T(0.02, disc, cfg.opts).coef)
+    swept = columns("sweep.csv")
+    slices = sweep(np.linspace(0.0, solve_tau(cfg.params.u2, cfg.params), cfg.t_points),
+                   disc, cfg.opts)
+    assert swept["T"].size == n * len(slices)
+    for i, sl in enumerate(slices):
+        block = slice(i * n, (i + 1) * n)
+        assert np.all(swept["T"][block] == sl.T)
+        assert np.array_equal(swept["x"][block], nodes)
+        assert np.array_equal(swept["u"][block], disc.F @ sl.coef)
+    assert np.array_equal(columns("vfun.csv")["x"], nodes)
 
 
 def test_cli_hc_solves_each_temperature_once(tmp_path, monkeypatch):

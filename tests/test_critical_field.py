@@ -71,17 +71,16 @@ def test_hc_slope_approaches_transition_slope(tc, v):
     for k in (4, 6, 8):
         t = tc * (1.0 - 2.0 ** -k)
         sl = solve_at_T(t, DISC, OPTS)
-        p = psi(t, sl, DISC)
-        dp = condensation(t, sl, DISC)[1]
+        p = psi(sl, DISC)
+        dp = condensation(sl, DISC)[1]
         errs.append(abs(hc_slope(p, dp) - s_tc))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.01 * abs(s_tc)
 
 
 def test_zero_slice_has_zero_field_at_zero_temperature():
-    zero = GapSlice(0.0, GRID.nodes, np.zeros(GRID.nodes.size), 0, 0.0,
-                    coef=np.zeros(1))
-    assert hc(psi(0.0, zero, DISC)) == 0.0
+    zero = GapSlice(0.0, np.zeros(1), 0, 0.0)
+    assert hc(psi(zero, DISC)) == 0.0
 
 
 def test_hc_zero_small_gap_taylor_pointwise():
@@ -90,11 +89,12 @@ def test_hc_zero_small_gap_taylor_pointwise():
     p = validate_params(PhysicalParams(1e-3, 1.0, 20.0, 1.0, 0.15, 0.25))
     k = ConstantPotential(0.2, p)
     g = build_grid(p, 129)
-    sl = solve_at_T(0.0, Discretization(k, g), SolverOpts())
-    u0 = sl.values.max()
+    disc = Discretization(k, g)
+    sl = solve_at_T(0.0, disc, SolverOpts())
+    u0 = (disc.F @ sl.coef).max()
     sel = g.nodes >= 20.0 * u0
     x = g.nodes[sel]
-    u = sl.values[sel]
+    u = (disc.F @ sl.coef)[sel]
     e = np.hypot(x, u)
     exact = (e - x) ** 2 / e
     approx = u ** 4 / (4.0 * x ** 3)
@@ -117,11 +117,11 @@ def test_curve_flat_at_zero_temperature(tc, v):
     # flattening, below them both differences sit at the quadrature floor
     t3 = 0.5 * 0.00846557824340508
     sl0 = solve_at_T(0.0, DISC, OPTS)
-    h0 = hc(psi(0.0, sl0, DISC))
+    h0 = hc(psi(sl0, DISC))
 
     def hc_at(t):
         sl = solve_at_T(t, DISC, OPTS)
-        return hc(psi(t, sl, DISC))
+        return hc(psi(sl, DISC))
 
     floor = 1e-10 * h0
     d1 = abs(hc_at(0.6 * t3) - h0)
@@ -138,7 +138,7 @@ def test_analytic_slope_matches_differences(tc, curve):
 
     def hc_at(t):
         sl = solve_at_T(float(t), DISC, OPTS)
-        return hc(psi(float(t), sl, DISC))
+        return hc(psi(sl, DISC))
 
     for t in ts[:: max(1, ts.size // 4)]:
         errs = []
@@ -168,14 +168,15 @@ def test_slope_ratio_tends_to_wide_shell_limit(kind, ref):
     tc = find_Tc(kernel, grid)
     surface = sweep(hc_temperatures(np.linspace(0.0, tc, 33), tc), disc)
     curve = build_hc_curve(surface, extract_v(disc, tc), disc)
-    dev = linear_law_check(curve).coeff_over_hc0 / HC_SLOPE_RATIO_WIDE_SHELL - 1.0
+    dev = (linear_law_check(curve).fitted_coefficient / curve.hc0
+           / HC_SLOPE_RATIO_WIDE_SHELL - 1.0)
     assert 0.5 <= dev / ref <= 2.0
 
 
 def test_linear_law(tc, v, curve):
     law = linear_law_check(curve)
     assert law.fitted_coefficient == pytest.approx(law.predicted_coefficient, rel=0.02)
-    assert 1.70 <= law.coeff_over_hc0 <= 1.78
+    assert 1.70 <= law.fitted_coefficient / curve.hc0 <= 1.78
     # the fitted line passes through zero at the transition
     assert curve.hc[curve.t == tc][0] == pytest.approx(0.0, abs=1e-15)
 
@@ -264,12 +265,10 @@ def test_hc_curve_is_the_solved_field_through_tc(tc, v):
     ts = np.unique(np.concatenate([np.linspace(0.0, tc, 25), tc * (1.0 - 2.0 ** -ks)]))
     surface = sweep(ts, DISC, OPTS)
     curve = build_hc_curve(surface, v, DISC, OPTS)
-    live = [i for i, sl in enumerate(surface.slices) if sl.sup() > 0.0]
+    live = [i for i, sl in enumerate(surface) if np.max(np.abs(DISC.F @ sl.coef)) > 0.0]
     assert [curve.t[i] for i in live] == list(ts[ts < tc])
     for i in live:
-        t = float(ts[i])
-        assert curve.hc[i] == pytest.approx(hc(psi(t, surface.slices[i], DISC)),
-                                            rel=1e-12)
+        assert curve.hc[i] == pytest.approx(hc(psi(surface[i], DISC)), rel=1e-12)
     s_tc = slope_at_tc(v)
     for k in ks[ks >= 11]:
         i = int(np.flatnonzero(ts == tc * (1.0 - 2.0 ** -float(k)))[0])
@@ -294,7 +293,7 @@ def test_hc_zero_matches_mpmath(eps, u0):
         ref = float(mpmath.sqrt(8 * mpmath.pi * p.n0
                                 * mpmath.quad(integrand, [e0, d, om])))
     disc = Discretization(ConstantPotential(u0, p), build_grid(p, 129))
-    assert hc(psi(0.0, solve_at_T(0.0, disc, OPTS), disc)) == pytest.approx(ref, rel=1e-12)
+    assert hc(psi(solve_at_T(0.0, disc, OPTS), disc)) == pytest.approx(ref, rel=1e-12)
 
 
 _XG, _WG = np.polynomial.legendre.leggauss(24)
@@ -347,11 +346,11 @@ def test_hc_leaves_hc0_by_the_shell_excitations(eps):
         t_c = find_Tc(kernel, grid, opts)
         surface = sweep(np.array([0.0, 0.02 * t_c, 0.05 * t_c]), disc, opts)
         curve = build_hc_curve(surface, extract_v(disc, t_c), disc, opts)
-        psi0 = psi(0.0, surface.slices[0], disc)
+        psi0 = psi(surface[0], disc)
         for i in (1, 2):
-            t = float(surface.t_grid[i])
+            t = surface[i].T
             s, ds = shell_excitations(t, p)
-            value = (psi(t, surface.slices[i], disc) - psi0) / s - 1.0
+            value = (psi(surface[i], disc) - psi0) / s - 1.0
             slope = curve.dhc_dT[i] * curve.hc[i] / (-4.0 * math.pi * ds) - 1.0
             assert abs(value) <= 1e-10, (type(kernel).__name__, t / t_c, value)
             assert abs(slope) <= 1e-10, (type(kernel).__name__, t / t_c, slope)

@@ -156,13 +156,13 @@ def v_const(tc_const):
 
 
 def test_psi_zero_slice_is_zero_exactly():
-    z = GapSlice(0.02, GRID.nodes, np.zeros(GRID.nodes.size), 0, 0.0, coef=np.zeros(1))
-    assert psi(0.02, z, DISC) == 0.0
+    z = GapSlice(0.02, np.zeros(1), 0, 0.0)
+    assert psi(z, DISC) == 0.0
 
 
 def test_psi_zero_temperature_closed_form():
     sl = solve_at_T(0.0, DISC, OPTS)
-    m = MonotoneCubic(sl.x, sl.values)
+    m = MonotoneCubic(GRID.nodes, DISC.F @ sl.coef)
 
     def integrand(xi):
         u = m(xi)
@@ -170,14 +170,14 @@ def test_psi_zero_temperature_closed_form():
         return (e - xi) ** 2 / e
 
     ref = -P.n0 * integrate(integrand, P.epsilon, P.hbar_omega_d, 1e-13).value
-    assert psi(0.0, sl, DISC) == pytest.approx(ref, rel=1e-9)
+    assert psi(sl, DISC) == pytest.approx(ref, rel=1e-9)
 
 
 def test_psi_negative_below_tc(tc_const):
     for frac in (0.1, 0.4, 0.7, 0.95):
         t = frac * tc_const
         sl = solve_at_T(t, DISC, OPTS)
-        assert psi(t, sl, DISC) < 0.0
+        assert psi(sl, DISC) < 0.0
 
 
 def test_thermo_curve_psi_and_slope_vanish_on_zero_slices(tc_const):
@@ -195,16 +195,16 @@ def test_thermo_curve_psi_and_slope_vanish_on_zero_slices(tc_const):
 def test_psi_derivative_rejects_zero_temperature():
     sl = solve_at_T(0.01, DISC, OPTS)
     with pytest.raises(ValueError):
-        condensation(0.0, sl, DISC)
+        condensation(sl._replace(T=0.0), DISC)
 
 
 def test_psi_derivative_matches_central_differences(tc_const):
     t = 0.6 * tc_const
     sl = solve_at_T(t, DISC, OPTS)
-    ana = condensation(t, sl, DISC)[1]
+    ana = condensation(sl, DISC)[1]
     h = 1e-4 * tc_const
-    pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
-    pm = psi(t - h, solve_at_T(t - h, DISC, OPTS), DISC)
+    pp = psi(solve_at_T(t + h, DISC, OPTS), DISC)
+    pm = psi(solve_at_T(t - h, DISC, OPTS), DISC)
     fd = (pp - pm) / (2.0 * h)
     assert fd == pytest.approx(ana, rel=1e-5)
 
@@ -212,11 +212,11 @@ def test_psi_derivative_matches_central_differences(tc_const):
 def test_psi_derivative_second_order_step_convergence(tc_const):
     t = 0.6 * tc_const
     sl = solve_at_T(t, DISC, OPTS)
-    ana = condensation(t, sl, DISC)[1]
+    ana = condensation(sl, DISC)[1]
 
     def fd_err(h):
-        pp = psi(t + h, solve_at_T(t + h, DISC, OPTS), DISC)
-        pm = psi(t - h, solve_at_T(t - h, DISC, OPTS), DISC)
+        pp = psi(solve_at_T(t + h, DISC, OPTS), DISC)
+        pm = psi(solve_at_T(t - h, DISC, OPTS), DISC)
         return abs((pp - pm) / (2.0 * h) - ana)
 
     e1 = fd_err(0.02 * tc_const)
@@ -229,7 +229,7 @@ def test_psi_derivative_vanishes_toward_tc(tc_const):
     for k in (5, 7, 9):
         t = tc_const * (1.0 - 2.0 ** -k)
         sl = solve_at_T(t, DISC, OPTS)
-        vals.append(abs(condensation(t, sl, DISC)[1]))
+        vals.append(abs(condensation(sl, DISC)[1]))
     assert vals[2] < vals[1] < vals[0]
     # the derivative falls linearly in T_c - T: a factor 16 over two rungs
     assert vals[2] < 0.1 * vals[0]
@@ -383,7 +383,7 @@ def test_cv_super_matches_differenced_potential(default_curve):
 
     def dpsi(t):
         sl = solve_at_T(t, disc, tight)
-        return condensation(t, sl, disc)[1]
+        return condensation(sl, disc)[1]
 
     rows = []
     for t, cvs in zip(curve.t, curve.cv_super):
